@@ -27,20 +27,15 @@
 //!
 //! # Why the bounds are sound
 //!
-//! Write `N = NS·NM` for the month count, `d_i` for the main duration
-//! of group `i` (`k` groups), `rate = Σ 1/d_i`, `P` for the grouping's
-//! total processors and `w` for the per-month post work.
+//! The lower bound is `oa_sched::estimate::lower_bound` — the
+//! chain/throughput/area bound the grouping heuristics also prune with;
+//! its soundness argument lives on that function. It holds under any
+//! fault plan, because faults only destroy work.
 //!
-//! *Lower bounds* (each holds under any fault plan, because faults only
-//! destroy work):
-//! * chain: some scenario serialises `NM` months, none faster than
-//!   `d_min`, and its last post trails → `NM·d_min + w`;
-//! * throughput: `N` month completions at aggregate rate at most
-//!   `rate` → `N/rate + w`;
-//! * area: total work is at least `N·min_i(g_i·d_i) + N·w`
-//!   processor-seconds on at most `P` processors.
-//!
-//! *Upper bound* (fault-free): the engine is greedy — an idle group
+//! *Upper bound* (fault-free): write `N = NS·NM` for the month count,
+//! `d_i` for the main duration of group `i` (`k` groups),
+//! `rate = Σ 1/d_i`, `P` for the grouping's total processors and `w`
+//! for the per-month post work. The engine is greedy — an idle group
 //! either receives a ready scenario at the same event or disbands, so
 //! while at least `k` scenarios are unfinished every group is busy and
 //! `rate·T − k ≤ N` bounds that phase by `(N + k)/rate`; afterwards
@@ -51,6 +46,7 @@
 //! further `w` of slack absorbs the phase boundaries.
 
 use oa_platform::timing::TimingTable;
+use oa_sched::estimate::lower_bound;
 use oa_sched::grouping::Grouping;
 use oa_sched::params::Instance;
 use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity};
@@ -149,26 +145,16 @@ pub fn certify(
         .validate(inst)
         .expect("certify requires a valid grouping");
     let (durs, steps) = durations(table, grouping, config);
-    let k = durs.len() as f64;
-    let n = inst.nbtasks() as f64;
     let nm = f64::from(inst.nm);
-    let p = grouping.total_procs() as f64;
     let w: f64 = steps.iter().sum();
 
-    let d_min = durs.iter().copied().fold(f64::INFINITY, f64::min);
-    let d_max = durs.iter().copied().fold(0.0f64, f64::max);
-    let rate: f64 = durs.iter().map(|&d| 1.0 / d).sum();
-    let min_area = grouping
-        .groups()
-        .iter()
-        .zip(&durs)
-        .map(|(&g, &d)| f64::from(g) * d)
-        .fold(f64::INFINITY, f64::min);
-
-    let lo = (nm * d_min + w)
-        .max(n / rate + w)
-        .max((n * min_area + n * w) / p);
+    let lo = lower_bound(inst, grouping.groups(), &durs, w, grouping.total_procs());
     let bounds = if plan.is_empty() {
+        let k = durs.len() as f64;
+        let n = inst.nbtasks() as f64;
+        let p = grouping.total_procs() as f64;
+        let d_max = durs.iter().copied().fold(0.0f64, f64::max);
+        let rate: f64 = durs.iter().map(|&d| 1.0 / d).sum();
         let hi = (n + k) / rate + nm * d_max + n * w / p + 2.0 * w;
         TimeInterval::new(lo, hi)
     } else {

@@ -118,6 +118,49 @@ pub fn estimate(
     Ok(SCRATCH.with(|cell| run(inst, table, grouping, &mut cell.borrow_mut())))
 }
 
+/// A lower bound on the makespan of any execution of `inst` on groups
+/// of `sizes` processors whose main tasks take `durs` seconds
+/// (`durs[i]` for group `i`), with `post_work` seconds of post
+/// processing per month and `procs` processors in all (groups plus the
+/// dedicated post pool).
+///
+/// The bound is the largest of three, each sound for every policy and
+/// every fault plan (faults only destroy work). Write `N = NS·NM`,
+/// `w` for the post work and `rate = Σ 1/d_i`:
+///
+/// * **chain**: each scenario runs its `NM` months one after another,
+///   none faster than `d_min`, and the last post trails →
+///   `NM·d_min + w`;
+/// * **throughput**: group `i` finishes at most `T/d_i` months by time
+///   `T`, so the `N` months need `T ≥ N/rate`, and the last post
+///   trails → `N/rate + w`;
+/// * **area**: the work is at least `N·min_i(g_i·d_i) + N·w`
+///   processor-seconds, done on at most `procs` processors (disbanded
+///   groups only move processors into the post pool).
+///
+/// The three hold in exact arithmetic; the simulated clock is a long
+/// float sum, so a caller comparing against a simulated makespan grants
+/// a relative `1e-9` slack. The static certifier (`oa-analyze`) and
+/// the candidate pruning of the grouping heuristics share this one
+/// function.
+#[must_use]
+pub fn lower_bound(inst: Instance, sizes: &[u32], durs: &[f64], post_work: f64, procs: u64) -> f64 {
+    let n = inst.nbtasks() as f64;
+    let nm = f64::from(inst.nm);
+    let p = procs as f64;
+    let w = post_work;
+    let d_min = durs.iter().copied().fold(f64::INFINITY, f64::min);
+    let rate: f64 = durs.iter().map(|&d| 1.0 / d).sum();
+    let min_area = sizes
+        .iter()
+        .zip(durs)
+        .map(|(&g, &d)| f64::from(g) * d)
+        .fold(f64::INFINITY, f64::min);
+    (nm * d_min + w)
+        .max(n / rate + w)
+        .max((n * min_area + n * w) / p)
+}
+
 /// The event loop proper, on pre-validated input and reusable state.
 fn run(
     inst: Instance,
