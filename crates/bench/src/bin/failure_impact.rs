@@ -7,9 +7,8 @@
 use oa_bench::{fast_mode, pool, row, stats, write_json, SweepRecorder};
 use oa_platform::prelude::*;
 use oa_sched::prelude::*;
-use oa_sim::failures::{estimate_with_failures, FaultPlan, FaultyOutcome, Recovery};
-use oa_sim::grid_failures::{run_grid_with_cluster_failure, ClusterFailurePolicy};
 use oa_sim::prelude::*;
+use oa_trace::NullTracer;
 
 fn main() {
     let nm = if fast_mode() { 120 } else { 600 };
@@ -55,13 +54,16 @@ fn main() {
         pool.par_map(&pcts, |&pct| {
             let tf = clean * pct as f64 / 100.0;
             let plan = FaultPlan::none().kill(0, tf);
-            let run =
-                |recovery| match estimate_with_failures(inst, &table, &grouping, &plan, recovery)
-                    .expect("valid grouping")
-                {
-                    FaultyOutcome::Completed { makespan, .. } => makespan,
-                    FaultyOutcome::Stranded { .. } => f64::INFINITY,
+            let run = |recovery| {
+                let config = CampaignConfig {
+                    recovery,
+                    ..CampaignConfig::default()
                 };
+                simulate_campaign(inst, &table, &grouping, &config, &plan, &mut NullTracer)
+                    .expect("valid grouping")
+                    .makespan()
+                    .unwrap_or(f64::INFINITY)
+            };
             (
                 run(Recovery::MonthlyCheckpoint),
                 run(Recovery::RestartScenario),

@@ -8,6 +8,7 @@ use oa_bench::{fast_mode, pool, row, stats, write_json, SweepRecorder};
 use oa_platform::prelude::*;
 use oa_sched::prelude::*;
 use oa_sim::prelude::*;
+use oa_trace::NullTracer;
 
 fn main() {
     let nm = if fast_mode() { 60 } else { 600 };
@@ -47,7 +48,18 @@ fn main() {
                 .grouping(inst, &table)
                 .expect("feasible");
             let fused = estimate(inst, &table, &g).expect("valid").makespan;
-            let unfused = estimate_unfused(inst, &table, &g).expect("valid").makespan;
+            let config = CampaignConfig::unfused(ScenarioPolicy::LeastAdvanced);
+            let unfused = simulate_campaign(
+                inst,
+                &table,
+                &g,
+                &config,
+                &FaultPlan::none(),
+                &mut NullTracer,
+            )
+            .expect("valid")
+            .makespan()
+            .expect("fault-free runs complete");
             Point {
                 r,
                 fused_secs: fused,

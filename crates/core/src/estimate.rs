@@ -7,9 +7,11 @@
 //! (Section 4.3). This module implements that policy as a tight
 //! event-driven list scheduler that returns the makespan (and a few
 //! aggregates) without materializing a trace — heuristics call it in
-//! inner loops. The full-featured simulator in `oa-sim` implements the
-//! same policy with traces and validation and is property-tested to
-//! agree with this estimator.
+//! inner loops, and the generic chain-of-units estimator
+//! (`crate::generic`) runs the same loop on its own durations. The
+//! full-featured simulator in `oa-sim` implements the same policy with
+//! traces and validation and is property-tested to agree with this
+//! estimator bit for bit.
 //!
 //! Policy details beyond the quoted sentence (all derivable from the
 //! schedule figures and Equations 3–5):
@@ -48,7 +50,7 @@ use crate::time::{time_key, Time, TimeKey};
 /// shares nothing.
 #[derive(Default)]
 struct Scratch {
-    /// Per-group main duration, `T[sizes[i]]`.
+    /// Per-group main duration, `T[sizes[i]]`, filled by [`simulate`].
     durs: Vec<f64>,
     /// Busy groups: (finish time, group). Min-heap on the shared key.
     busy: BinaryHeap<TimeKey<usize>>,
@@ -115,7 +117,37 @@ pub fn estimate(
     grouping: &Grouping,
 ) -> Result<Estimate, GroupingError> {
     grouping.validate(inst)?;
-    Ok(SCRATCH.with(|cell| run(inst, table, grouping, &mut cell.borrow_mut())))
+    // The `T[G]` row, indexed by `G - 4` — one array load per group
+    // instead of a spec lookup per `main_secs` call.
+    let trow = table.main_array();
+    let sizes = grouping.groups();
+    Ok(simulate(
+        inst,
+        sizes,
+        grouping.post_procs,
+        table.post_secs(),
+        sizes.iter().map(|&g| trow[(g - MIN_PROCS) as usize]),
+    ))
+}
+
+/// The event loop on explicit inputs: `inst.ns` scenarios of `inst.nm`
+/// months on groups of `sizes` processors whose main tasks take `durs`
+/// seconds, `post_procs` dedicated post processors and `tp` seconds per
+/// post. Validation is the caller's; [`estimate`] and
+/// `generic::estimate_generic` are its two callers.
+pub(crate) fn simulate(
+    inst: Instance,
+    sizes: &[u32],
+    post_procs: u32,
+    tp: f64,
+    durs: impl IntoIterator<Item = f64>,
+) -> Estimate {
+    SCRATCH.with(|cell| {
+        let scratch = &mut *cell.borrow_mut();
+        scratch.durs.clear();
+        scratch.durs.extend(durs);
+        run(inst, sizes, post_procs, tp, scratch)
+    })
 }
 
 /// A lower bound on the makespan of any execution of `inst` on groups
@@ -161,18 +193,9 @@ pub fn lower_bound(inst: Instance, sizes: &[u32], durs: &[f64], post_work: f64, 
         .max((n * min_area + n * w) / p)
 }
 
-/// The event loop proper, on pre-validated input and reusable state.
-fn run(
-    inst: Instance,
-    table: &TimingTable,
-    grouping: &Grouping,
-    scratch: &mut Scratch,
-) -> Estimate {
-    let sizes: &[u32] = grouping.groups();
-    // The `T[G]` row, indexed by `G - 4` — one array load per group
-    // instead of a spec lookup per `main_secs` call.
-    let trow = table.main_array();
-    let tp = table.post_secs();
+/// The event loop proper, on pre-validated input and reusable state
+/// whose `durs` already holds the per-group main durations.
+fn run(inst: Instance, sizes: &[u32], post_procs: u32, tp: f64, scratch: &mut Scratch) -> Estimate {
     let nm = inst.nm;
 
     let Scratch {
@@ -185,8 +208,6 @@ fn run(
         post_ready,
         post_pool,
     } = scratch;
-    durs.clear();
-    durs.extend(sizes.iter().map(|&g| trow[(g - MIN_PROCS) as usize]));
     let durs: &[f64] = durs;
     busy.clear();
     busy.reserve(sizes.len());
@@ -213,7 +234,7 @@ fn run(
     // Processor pool for posts: avail times (dedicated start at 0).
     post_pool.clear();
     post_pool.reserve(inst.r as usize);
-    for _ in 0..grouping.post_procs {
+    for _ in 0..post_procs {
         post_pool.push(Reverse(Time(0.0)));
     }
 

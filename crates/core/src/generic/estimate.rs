@@ -1,20 +1,18 @@
 //! Event-driven makespan estimation for generic workloads.
 //!
-//! The same policy as [`crate::estimate`] — least-advanced-first
+//! Validation and the result type are generic; the simulation is the
+//! event loop of [`crate::estimate`] itself — least-advanced-first
 //! assignment, largest idle group first, surplus-group disbanding,
-//! FIFO trailing tasks — generalized to arbitrary allocation ranges,
-//! arbitrary per-unit blocking time `unit_secs(g)` and arbitrary
-//! trailing work. On an Ocean-Atmosphere-shaped workload it returns
-//! exactly what `crate::estimate` returns (property-tested in
-//! `generic::tests`).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! FIFO trailing tasks — fed arbitrary allocation ranges, arbitrary
+//! per-unit blocking time `unit_secs(g)` and arbitrary trailing work.
+//! On an Ocean-Atmosphere-shaped workload it therefore returns exactly
+//! the bits `crate::estimate` returns (pinned in this module's tests).
 
 use serde::{Deserialize, Serialize};
 
 use super::workload::Workload;
-use crate::time::{time_key, Time, TimeKey};
+use crate::estimate::simulate;
+use crate::params::Instance;
 
 /// A processor division for a generic workload.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,116 +118,41 @@ pub struct GenericEstimate {
     pub trailing_finish: f64,
 }
 
-/// Simulates `w` on `r` processors divided as `groups`.
+/// Simulates `w` on `r` processors divided as `groups`, through the
+/// event loop of [`crate::estimate`]: chains are its scenarios, units
+/// its months, `unit_secs(g)` the group durations and the trailing
+/// work its post task.
 pub fn estimate_generic(
     w: &Workload,
     r: u32,
     groups: &Groups,
 ) -> Result<GenericEstimate, GroupsError> {
     groups.validate(w, r)?;
-    let sizes: Vec<u32> = groups.sizes().to_vec();
-    let durs: Vec<f64> = sizes.iter().map(|&g| w.unit_secs(g)).collect();
-    let tp = w.trailing_secs();
-    let units = w.units;
-
-    let mut busy: BinaryHeap<TimeKey<usize>> = BinaryHeap::with_capacity(sizes.len());
-    let mut running: Vec<Option<u32>> = vec![None; sizes.len()];
-    let mut waiting: BinaryHeap<Reverse<(u32, u32)>> =
-        (0..w.chains).map(|c| Reverse((0, c))).collect();
-    let mut done: Vec<u32> = vec![0; w.chains as usize];
-    let mut unfinished = w.chains as usize;
-    let mut idle: Vec<usize> = (0..sizes.len()).collect();
-    idle.sort_unstable_by_key(|&g| (sizes[g], g));
-    let mut alive = sizes.len();
-
-    let mut trailing_ready: Vec<f64> = Vec::with_capacity(w.nbtasks() as usize);
-    let mut pool: BinaryHeap<Reverse<Time>> = BinaryHeap::new();
-    for _ in 0..groups.pool {
-        pool.push(Reverse(Time(0.0)));
-    }
-
-    let assign = |now: f64,
-                  idle: &mut Vec<usize>,
-                  waiting: &mut BinaryHeap<Reverse<(u32, u32)>>,
-                  busy: &mut BinaryHeap<TimeKey<usize>>,
-                  running: &mut Vec<Option<u32>>,
-                  alive: &mut usize,
-                  unfinished: usize,
-                  pool: &mut BinaryHeap<Reverse<Time>>| {
-        while !idle.is_empty() {
-            let Some(&Reverse((_, c))) = waiting.peek() else {
-                break;
-            };
-            let g = idle.pop().expect("non-empty");
-            waiting.pop();
-            running[g] = Some(c);
-            busy.push(time_key(now + durs[g], g));
-        }
-        while !idle.is_empty() && *alive > unfinished {
-            let g = idle.remove(0);
-            *alive -= 1;
-            for _ in 0..sizes[g] {
-                pool.push(Reverse(Time(now)));
-            }
-        }
+    let inst = Instance {
+        ns: w.chains,
+        nm: w.units,
+        r,
     };
-
-    assign(
-        0.0,
-        &mut idle,
-        &mut waiting,
-        &mut busy,
-        &mut running,
-        &mut alive,
-        unfinished,
-        &mut pool,
+    let tp = w.trailing_secs();
+    let sizes = groups.sizes();
+    let e = simulate(
+        inst,
+        sizes,
+        groups.pool,
+        tp,
+        sizes.iter().map(|&g| w.unit_secs(g)),
     );
-
-    let mut main_finish = 0.0f64;
-    while let Some(Reverse((Time(t), g))) = busy.pop() {
-        let c = running[g].take().expect("busy group runs a chain");
-        done[c as usize] += 1;
-        main_finish = t;
-        trailing_ready.push(t);
-        if done[c as usize] == units {
-            unfinished -= 1;
-        } else {
-            waiting.push(Reverse((done[c as usize], c)));
-        }
-        let pos = idle
-            .binary_search_by_key(&(sizes[g], g), |&x| (sizes[x], x))
-            .unwrap_err();
-        idle.insert(pos, g);
-        assign(
-            t,
-            &mut idle,
-            &mut waiting,
-            &mut busy,
-            &mut running,
-            &mut alive,
-            unfinished,
-            &mut pool,
-        );
-    }
-
-    let mut trailing_finish = main_finish;
-    if tp > 0.0 {
-        debug_assert!(!pool.is_empty(), "groups disband eventually");
-        for ready in trailing_ready {
-            let Reverse(Time(avail)) = pool.pop().expect("pool non-empty");
-            let start = if avail > ready { avail } else { ready };
-            let fin = start + tp;
-            if fin > trailing_finish {
-                trailing_finish = fin;
-            }
-            pool.push(Reverse(Time(fin)));
-        }
-    }
-
     Ok(GenericEstimate {
-        makespan: main_finish.max(trailing_finish),
-        main_finish,
-        trailing_finish,
+        makespan: e.makespan,
+        main_finish: e.main_finish,
+        // Without trailing work the workload has no post phase: its
+        // trailing finish is the blocking finish by definition, not the
+        // clock of the zero-length posts the shared loop still drains.
+        trailing_finish: if tp > 0.0 {
+            e.post_finish
+        } else {
+            e.main_finish
+        },
     })
 }
 
@@ -342,8 +265,9 @@ mod tests {
                 let gen = Groups::new(sizes, pool);
                 let a = estimate(inst, &table, &oa).unwrap();
                 let b = estimate_generic(&w, r, &gen).unwrap();
-                assert!(
-                    (a.makespan - b.makespan).abs() < 1e-9,
+                assert_eq!(
+                    a.makespan.to_bits(),
+                    b.makespan.to_bits(),
                     "ns={ns} nm={nm} r={r}: {} vs {}",
                     a.makespan,
                     b.makespan

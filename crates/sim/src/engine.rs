@@ -1,11 +1,11 @@
-//! The generic discrete-event campaign engine: one loop, four configs.
+//! The generic discrete-event campaign engine: one loop, every config.
 //!
 //! Historically `oa-sim` carried four hand-rolled event loops — the
 //! recording executor, the unfused ablation, the failure replayer and
 //! the per-cluster grid runner — each duplicating the same
 //! least-advanced-first policy with its own waiting queue. This module
-//! is the single loop they all delegate to, generic over the
-//! orthogonal knobs of [`CampaignConfig`]:
+//! is the single loop that replaced them, generic over the orthogonal
+//! knobs of [`CampaignConfig`]:
 //!
 //! * **policy** — a [`ScenarioQueue`] object (least-advanced,
 //!   round-robin, most-advanced) consulted at every assignment;
@@ -15,8 +15,57 @@
 //!   from (monthly checkpoint or full restart);
 //!
 //! plus a [`Tracer`] sink for the full event story and the thread-local
-//! scratch arenas that keep repeat runs allocation-free (the PR-3
-//! discipline, now shared by every path instead of only the fused one).
+//! scratch arenas that keep repeat runs allocation-free. Callers pick a
+//! configuration and read [`CampaignOutcome`] / [`CampaignRun`]
+//! directly; `crate::executor` (fused, fault-free, schedule recorded)
+//! and `crate::grid_exec` (one run per cluster) are the only wrappers.
+//!
+//! # Granularity: the fusion argument
+//!
+//! Section 4.1 fuses `caif + mp + pcr` into one main task and
+//! `cof + emf + cd` into one post task before scheduling.
+//! [`Granularity::Unfused`] executes the original seven-task DAG under
+//! the same group policy:
+//!
+//! * a group picks a scenario and runs `caif`, `mp` and `pcr` of the
+//!   month back-to-back (the pre tasks use one processor of the group;
+//!   the group is held for the whole span, exactly as fusion assumes);
+//! * `cof`, `emf`, `cd` are three distinct one-processor tasks chained
+//!   through the post pool — unlike fusion, each hop re-enters the
+//!   FIFO queue and may land on a different processor or wait behind
+//!   other scenarios' diagnostics.
+//!
+//! The Figure 1 constants are rescaled by the table's post/180 ratio
+//! (pre and post scale with the sequential speed of the machine). The
+//! measurable difference against the fused run is therefore exactly
+//! the cost (or benefit) of post-chain interleaving, which the
+//! `fusion_ablation` bench quantifies. It is bounded by construction:
+//! fused post occupancy equals the sum of the parts, so only queueing
+//! order can differ.
+//!
+//! # Failures: the checkpoint/restart model
+//!
+//! The application is checkpointed by construction — "the results from
+//! the nth monthly simulation are the starting point of the (n+1)th" —
+//! so a crashed group costs at most one month of work per scenario: the
+//! scenario resumes from its last completed month on another group. A
+//! [`FaultPlan`] kills groups at given times and the loop replays the
+//! paper's policy around the losses, under two recovery models:
+//!
+//! * [`Recovery::MonthlyCheckpoint`] — the real application: only the
+//!   in-flight month is lost;
+//! * [`Recovery::RestartScenario`] — a counterfactual without restart
+//!   files: the victim scenario loses *all* completed months.
+//!
+//! With *heterogeneous* groups a failure can shorten the campaign:
+//! killing a slow group re-homes its scenario onto a faster group, a
+//! move the non-preemptive least-advanced policy would never make on
+//! its own. Dead groups never return and their processors do not join
+//! the post-processing pool (the hardware is gone). Failures addressed
+//! to a group that already disbanded are ignored — the machines left
+//! the group before dying, and post-pool shrinkage is a second-order
+//! effect this model does not track. When every group dies with months
+//! still unscheduled the run is [`CampaignOutcome::Stranded`].
 //!
 //! # The simulation kernel
 //!
@@ -50,11 +99,11 @@
 //! with an empty fault plan the engine replays *exactly* the decision
 //! sequence of the legacy executor (same floats, same record order,
 //! same event stream), and the unfused chain reproduces the legacy
-//! `estimate_unfused` bitwise. The kernel keeps the same contract in
-//! both directions: fast-forwarded runs are bitwise identical to
-//! event-by-event runs. `tests/engine_equivalence.rs`,
-//! `tests/kernel_equivalence.rs` and the tracked `results/*.json`
-//! enforce this.
+//! seven-task executor bitwise (the tracked `fusion_ablation.json`).
+//! The kernel keeps the same contract in both directions:
+//! fast-forwarded runs are bitwise identical to event-by-event runs.
+//! `tests/engine_equivalence.rs`, `tests/kernel_equivalence.rs` and
+//! the tracked `results/*.json` enforce this.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -572,12 +621,10 @@ thread_local! {
 /// Runs one campaign under `config`, injecting the failures of `plan`,
 /// streaming the full event story into `tracer`.
 ///
-/// This is the single event loop behind `execute_traced`,
-/// `estimate_unfused`, `estimate_with_failures_traced` and the grid
-/// runners; combinations none of the legacy entry points offered
-/// (unfused + tracing, unfused + policy ablations, faults at unfused
-/// granularity) are reached by passing the corresponding
-/// [`CampaignConfig`] directly.
+/// This is the single event loop behind `execute_traced` and the grid
+/// runners, and the entry point for every other combination — unfused
+/// granularity, faults, policy ablations, tracing — reached by passing
+/// the corresponding [`CampaignConfig`] and [`FaultPlan`].
 ///
 /// Runs with the default [`KernelOpts`] (fast-forward and calendar
 /// queue on — both bitwise-neutral); use
@@ -1763,4 +1810,411 @@ fn run<T: Tracer>(
         }),
         report,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::execute_default;
+    use oa_platform::presets::reference_cluster;
+    use oa_platform::speedup::PcrModel;
+    use oa_sched::estimate::estimate;
+    use oa_sched::heuristics::Heuristic;
+    use oa_sched::policy::ScenarioPolicy;
+    use oa_trace::NullTracer;
+
+    fn reference() -> TimingTable {
+        PcrModel::reference().table(1.0).unwrap()
+    }
+
+    fn flat(tg: f64, tp: f64) -> TimingTable {
+        TimingTable::new([tg; 8], tp).unwrap()
+    }
+
+    /// A fault-free unfused run under `policy`.
+    fn unfused_with<T: Tracer>(
+        inst: Instance,
+        table: &TimingTable,
+        grouping: &Grouping,
+        policy: ScenarioPolicy,
+        tracer: &mut T,
+    ) -> CampaignRun {
+        let config = CampaignConfig::unfused(policy);
+        let out = simulate_campaign(inst, table, grouping, &config, &FaultPlan::none(), tracer);
+        match out.unwrap() {
+            CampaignOutcome::Completed(run) => run,
+            CampaignOutcome::Stranded { .. } => unreachable!("fault-free runs never strand"),
+        }
+    }
+
+    /// The fusion ablation's run: unfused, fault-free, least-advanced.
+    fn unfused(inst: Instance, table: &TimingTable, grouping: &Grouping) -> CampaignRun {
+        unfused_with(
+            inst,
+            table,
+            grouping,
+            ScenarioPolicy::LeastAdvanced,
+            &mut NullTracer,
+        )
+    }
+
+    /// A fused least-advanced run under `plan` and `recovery`.
+    fn faulty_with<T: Tracer>(
+        inst: Instance,
+        table: &TimingTable,
+        grouping: &Grouping,
+        plan: &FaultPlan,
+        recovery: Recovery,
+        tracer: &mut T,
+    ) -> CampaignOutcome {
+        let config = CampaignConfig {
+            recovery,
+            ..CampaignConfig::default()
+        };
+        simulate_campaign(inst, table, grouping, &config, plan, tracer).unwrap()
+    }
+
+    fn faulty(
+        inst: Instance,
+        table: &TimingTable,
+        grouping: &Grouping,
+        plan: &FaultPlan,
+        recovery: Recovery,
+    ) -> CampaignOutcome {
+        faulty_with(inst, table, grouping, plan, recovery, &mut NullTracer)
+    }
+
+    // ---- Granularity: the fusion argument ---------------------------
+
+    #[test]
+    fn single_chain_matches_fused_exactly() {
+        // With one dedicated post processor there is no interleaving:
+        // the chain cof→emf→cd behaves like one 180 s task.
+        let inst = Instance::new(1, 5, 12);
+        let t = reference();
+        let g = Grouping::uniform(11, 1, 1);
+        let fused = estimate(inst, &t, &g).unwrap();
+        let unfused = unfused(inst, &t, &g);
+        assert!((fused.makespan - unfused.makespan).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fusion_error_is_small_across_the_sweep() {
+        // The paper's fusion decision is safe: across resource counts
+        // and heuristics, scheduling at the 7-task granularity moves
+        // the makespan by well under 1%.
+        let t = reference();
+        for r in [13u32, 23, 53, 87, 110] {
+            let inst = Instance::new(10, 60, r);
+            for h in [Heuristic::Basic, Heuristic::Knapsack] {
+                let g = h.grouping(inst, &t).unwrap();
+                let fused = estimate(inst, &t, &g).unwrap().makespan;
+                let unfused = unfused(inst, &t, &g).makespan;
+                let rel = (fused - unfused).abs() / fused;
+                assert!(
+                    rel < 0.01,
+                    "{h:?} R={r}: fused {fused} vs unfused {unfused}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn main_phase_is_identical_to_fused() {
+        let inst = Instance::new(6, 20, 40);
+        let t = reference();
+        let g = Heuristic::Knapsack.grouping(inst, &t).unwrap();
+        let fused = estimate(inst, &t, &g).unwrap();
+        let unfused = unfused(inst, &t, &g);
+        assert!((fused.main_finish - unfused.main_finish).abs() < 1e-9);
+    }
+
+    #[test]
+    fn post_steps_scale_with_cluster_speed() {
+        let inst = Instance::new(2, 4, 12);
+        let slow = PcrModel::reference().table(2.0).unwrap();
+        let g = Grouping::uniform(4, 2, 2);
+        let fast = unfused(inst, &reference(), &g);
+        let slow_e = unfused(inst, &slow, &g);
+        assert!(slow_e.makespan > fast.makespan * 1.9);
+    }
+
+    #[test]
+    fn figure1_scaling_is_pinned_to_the_grid5000_presets() {
+        // The unfused model rescales the Figure 1 constants by the
+        // table's post/180 cluster-speed ratio. Pin that scaling
+        // against every Grid'5000 preset so a change to either the
+        // constants or the preset tables cannot drift silently: the
+        // scaled post chain must sum to the table's fused post
+        // duration exactly, and the scaled pre must keep the same
+        // share of the fused span it has in Figure 1.
+        use oa_platform::presets::benchmark_grid;
+        use oa_workflow::task::{CAIF_SECS, MP_SECS};
+        let grid = benchmark_grid(12);
+        assert_eq!(grid.len(), 5, "the paper benchmarks five clusters");
+        assert_eq!(COF_SECS + EMF_SECS + CD_SECS, FUSED_POST_SECS);
+        for (_, cluster) in grid.iter() {
+            let t = &cluster.timing;
+            let speed = t.post_secs() / FUSED_POST_SECS;
+            // Fusing the scaled chain reproduces the fused post bitwise
+            // (the multiplication distributes exactly here: every
+            // preset's post is 180 × a power-of-two-free ratio, so we
+            // allow one ulp of slack).
+            let chain: f64 = COF_SECS * speed + EMF_SECS * speed + CD_SECS * speed;
+            assert!(
+                (chain - t.post_secs()).abs() <= t.post_secs() * 1e-15,
+                "{}: chain {chain} vs post {}",
+                cluster.name,
+                t.post_secs()
+            );
+            // The pre share keeps Figure 1's 2 s : 180 s proportion.
+            let pre = FUSED_PRE_SECS * speed;
+            assert!(
+                (pre / t.post_secs() - FUSED_PRE_SECS / FUSED_POST_SECS).abs() < 1e-15,
+                "{}: pre {pre} breaks the Figure 1 proportion",
+                cluster.name
+            );
+            assert_eq!(
+                FUSED_PRE_SECS,
+                CAIF_SECS + MP_SECS,
+                "Figure 1 pre tasks sum"
+            );
+            // And the group span equals the fused duration for every
+            // group size — fusion changes nothing about the main phase.
+            for g in 4..=11u32 {
+                let span = (t.main_secs(g) - pre) + pre;
+                assert_eq!(
+                    span.to_bits(),
+                    t.main_secs(g).to_bits(),
+                    "{}: G={g} span drifts from the fused duration",
+                    cluster.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn traced_unfused_tells_the_seven_task_story() {
+        use oa_trace::VecTracer;
+        let inst = Instance::new(2, 3, 12);
+        let t = reference();
+        let g = Grouping::uniform(4, 2, 2);
+        let mut sink = VecTracer::new();
+        let est = unfused_with(inst, &t, &g, ScenarioPolicy::LeastAdvanced, &mut sink);
+        let untraced = unfused(inst, &t, &g);
+        assert_eq!(est, untraced, "tracing must not change the estimate");
+        let events = sink.into_events();
+        // Each month finishes one main and the three chained posts.
+        let finishes = |kind: TaskKind| {
+            events
+                .iter()
+                .filter(
+                    |e| matches!(&e.kind, EventKind::TaskFinish { task, .. } if task.kind == kind),
+                )
+                .count() as u64
+        };
+        assert_eq!(finishes(TaskKind::FusedMain), inst.nbtasks());
+        assert_eq!(finishes(TaskKind::Cof), inst.nbtasks());
+        assert_eq!(finishes(TaskKind::Emf), inst.nbtasks());
+        assert_eq!(finishes(TaskKind::Cd), inst.nbtasks());
+        // The campaign end carries the estimate's makespan.
+        assert!(events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::CampaignEnd { makespan } if makespan == est.makespan
+        )));
+    }
+
+    #[test]
+    fn unfused_policy_ablation_is_ordered_like_the_fused_one() {
+        // The adversarial most-advanced policy can only tie or lose
+        // against the paper's least-advanced policy, at the seven-task
+        // granularity too.
+        let t = reference();
+        let inst = Instance::new(6, 12, 30);
+        let g = Heuristic::Knapsack.grouping(inst, &t).unwrap();
+        let run = |policy| unfused_with(inst, &t, &g, policy, &mut NullTracer).makespan;
+        let fair = run(ScenarioPolicy::LeastAdvanced);
+        let rr = run(ScenarioPolicy::RoundRobin);
+        let unfair = run(ScenarioPolicy::MostAdvanced);
+        assert!(unfair + 1e-9 >= fair, "unfair {unfair} < fair {fair}");
+        assert!(rr > 0.0 && rr.is_finite());
+        // And the default policy is the least-advanced one.
+        let default = CampaignConfig {
+            granularity: Granularity::Unfused,
+            ..CampaignConfig::default()
+        };
+        let out = simulate_campaign(inst, &t, &g, &default, &FaultPlan::none(), &mut NullTracer);
+        assert_eq!(Some(fair), out.unwrap().makespan());
+    }
+
+    // ---- Failures: the checkpoint/restart model ---------------------
+
+    #[test]
+    fn no_failures_matches_the_plain_executor() {
+        let inst = Instance::new(6, 10, 40);
+        let t = reference_cluster(40).timing;
+        let g = Heuristic::Knapsack.grouping(inst, &t).unwrap();
+        let plain = execute_default(inst, &t, &g).unwrap().makespan;
+        let faulty = faulty(
+            inst,
+            &t,
+            &g,
+            &FaultPlan::none(),
+            Recovery::MonthlyCheckpoint,
+        );
+        match faulty {
+            CampaignOutcome::Completed(run) => {
+                assert!((run.makespan - plain).abs() < 1e-9);
+                assert_eq!(run.lost_proc_secs, 0.0);
+                assert_eq!(run.months_lost, 0);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_crash_loses_at_most_one_month_with_checkpoints() {
+        let inst = Instance::new(4, 6, 16);
+        let t = flat(100.0, 10.0);
+        let g = Grouping::uniform(4, 4, 0);
+        // Kill group 0 mid-month at t = 150.
+        let plan = FaultPlan::none().kill(0, 150.0);
+        let out = faulty(inst, &t, &g, &plan, Recovery::MonthlyCheckpoint);
+        match out {
+            CampaignOutcome::Completed(run) => {
+                assert_eq!(run.months_lost, 1);
+                assert!((run.lost_proc_secs - 50.0 * 4.0).abs() < 1e-9);
+                // 24 months on 3 surviving groups, one month redone:
+                // strictly worse than failure-free, still finite.
+                let clean = execute_default(inst, &t, &g).unwrap().makespan;
+                assert!(run.makespan > clean);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checkpoints_beat_scenario_restarts() {
+        let inst = Instance::new(4, 8, 16);
+        let t = flat(100.0, 10.0);
+        let g = Grouping::uniform(4, 4, 0);
+        // Crash late: the victim scenario has real progress to lose.
+        let plan = FaultPlan::none().kill(0, 650.0);
+        let ck = faulty(inst, &t, &g, &plan, Recovery::MonthlyCheckpoint);
+        let rs = faulty(inst, &t, &g, &plan, Recovery::RestartScenario);
+        let (Some(a), Some(b)) = (ck.makespan(), rs.makespan()) else {
+            panic!("both should complete");
+        };
+        assert!(a < b, "checkpointed {a} should beat restart {b}");
+    }
+
+    #[test]
+    fn all_groups_dead_strands_the_campaign() {
+        let inst = Instance::new(3, 10, 12);
+        let t = flat(100.0, 10.0);
+        let g = Grouping::uniform(4, 3, 0);
+        let plan = FaultPlan::none().kill(0, 50.0).kill(1, 50.0).kill(2, 150.0);
+        let out = faulty(inst, &t, &g, &plan, Recovery::MonthlyCheckpoint);
+        match out {
+            CampaignOutcome::Stranded { completed_months } => {
+                // One month completed (the survivor's first) at t = 100.
+                assert_eq!(completed_months, 1);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn double_kill_is_idempotent() {
+        let inst = Instance::new(3, 4, 16);
+        let t = flat(100.0, 10.0);
+        let g = Grouping::uniform(4, 3, 4);
+        let once = FaultPlan::none().kill(1, 120.0);
+        let twice = FaultPlan::none().kill(1, 120.0).kill(1, 200.0);
+        let a = faulty(inst, &t, &g, &once, Recovery::MonthlyCheckpoint);
+        let b = faulty(inst, &t, &g, &twice, Recovery::MonthlyCheckpoint);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn late_failure_of_disbanded_group_is_harmless() {
+        let inst = Instance::new(2, 2, 16);
+        let t = flat(100.0, 10.0);
+        let g = Grouping::uniform(4, 2, 0);
+        // Campaign ends by t = 200 + posts; kill at t = 10000.
+        let plan = FaultPlan::none().kill(0, 10_000.0);
+        let out = faulty(inst, &t, &g, &plan, Recovery::MonthlyCheckpoint);
+        let clean = execute_default(inst, &t, &g).unwrap().makespan;
+        match out {
+            CampaignOutcome::Completed(run) => {
+                assert!((run.makespan - clean).abs() < 1e-9);
+                assert_eq!(run.months_lost, 0);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn traced_run_reports_the_damage() {
+        use oa_trace::metrics::keys;
+        use oa_trace::{Metered, VecTracer};
+        let inst = Instance::new(4, 6, 16);
+        let t = flat(100.0, 10.0);
+        let g = Grouping::uniform(4, 4, 0);
+        let plan = FaultPlan::none().kill(0, 150.0);
+        let mut sink = Metered::new(VecTracer::new());
+        let out = faulty_with(inst, &t, &g, &plan, Recovery::MonthlyCheckpoint, &mut sink);
+        let CampaignOutcome::Completed(run) = out else {
+            panic!("should complete");
+        };
+        // The live registry observed the same damage the outcome reports.
+        let snap = sink.registry.snapshot();
+        assert_eq!(snap.counter(keys::FAILURES), Some(1));
+        assert_eq!(snap.counter(keys::RETRIES), Some(1));
+        assert_eq!(snap.gauge(keys::PROC_SECS_LOST), Some(run.lost_proc_secs));
+        assert_eq!(snap.gauge(keys::MAKESPAN), Some(run.makespan));
+        // And the stream tells the inject → detect → recover story.
+        let events = sink.inner.into_events();
+        let pos = |pred: fn(&EventKind) -> bool| events.iter().position(|e| pred(&e.kind));
+        let inject = pos(|k| matches!(k, EventKind::FailureInject { .. })).unwrap();
+        let detect = pos(|k| matches!(k, EventKind::FailureDetect { .. })).unwrap();
+        let recover = pos(|k| matches!(k, EventKind::Recover { .. })).unwrap();
+        assert!(inject < detect && detect < recover);
+    }
+
+    #[test]
+    fn faults_compose_with_unfused_granularity() {
+        let inst = Instance::new(4, 6, 16);
+        let t = flat(100.0, 10.0);
+        let g = Grouping::uniform(4, 4, 0);
+        let plan = FaultPlan::none().kill(0, 150.0);
+        let config = CampaignConfig {
+            granularity: Granularity::Unfused,
+            ..CampaignConfig::default()
+        };
+        let out = simulate_campaign(inst, &t, &g, &config, &plan, &mut NullTracer).unwrap();
+        let CampaignOutcome::Completed(run) = out else {
+            panic!("should complete");
+        };
+        assert_eq!(run.months_lost, 1);
+        assert!(run.lost_proc_secs > 0.0);
+        // The clean unfused run is strictly faster.
+        let clean = unfused(inst, &t, &g);
+        assert!(run.makespan > clean.makespan);
+    }
+
+    #[test]
+    #[should_panic(expected = "failure targets group")]
+    fn out_of_range_group_panics() {
+        let inst = Instance::new(2, 2, 16);
+        let t = flat(100.0, 10.0);
+        let g = Grouping::uniform(4, 2, 0);
+        let _ = faulty(
+            inst,
+            &t,
+            &g,
+            &FaultPlan::none().kill(9, 1.0),
+            Recovery::MonthlyCheckpoint,
+        );
+    }
 }

@@ -6,6 +6,14 @@
 //! the grid makespan is the slowest cluster's makespan. Scenarios never
 //! migrate — "once a scenario has been scheduled on a cluster, it can
 //! not change location" (Section 5).
+//!
+//! Every entry point runs the one per-cluster loop of [`execute_grid`]:
+//! the cluster's scenarios → the heuristic's grouping → a `Decision`
+//! event → [`simulate_campaign`] through a [`ClusterTag`], optionally
+//! bracketed by wide-area stage-in and repatriation. Each cluster runs
+//! its own [`ClusterCampaign`] (the full [`CampaignConfig`] plus a
+//! fault plan); the [`ExecConfig`] entry points give every cluster the
+//! paper's fused, fault-free campaign under one scenario policy.
 
 use serde::{Deserialize, Serialize};
 
@@ -18,9 +26,10 @@ use oa_sched::policy::{CampaignConfig, FaultPlan};
 use oa_trace::{EventKind, NullTracer, TraceEvent, Tracer, TransferKind};
 
 use crate::engine::{simulate_campaign, CampaignOutcome};
-use crate::executor::{execute_traced, ExecConfig};
+use crate::executor::ExecConfig;
 use crate::schedule::Schedule;
 use crate::tracing::ClusterTag;
+use crate::transfer::{staging_delays, Link, StagingModel};
 
 /// One cluster's part of a grid execution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -29,15 +38,24 @@ pub struct ClusterOutcome {
     pub cluster: ClusterId,
     /// Global scenario ids this cluster ran (local id = index here).
     pub scenarios: Vec<u32>,
-    /// The local schedule (scenario ids are *local*), if any scenarios
-    /// were assigned.
-    pub schedule: Option<Schedule>,
+    /// The cluster's campaign (scenario ids are *local*), if any
+    /// scenarios were assigned.
+    pub outcome: Option<CampaignOutcome>,
 }
 
 impl ClusterOutcome {
-    /// Local makespan (0 when the cluster ran nothing).
+    /// Local makespan (0 when the cluster ran nothing or was stranded).
     pub fn makespan(&self) -> f64 {
-        self.schedule.as_ref().map_or(0.0, |s| s.makespan)
+        self.outcome
+            .as_ref()
+            .and_then(CampaignOutcome::makespan)
+            .unwrap_or(0.0)
+    }
+
+    /// The local schedule, recorded when the cluster ran a fused
+    /// campaign with an empty fault plan.
+    pub fn schedule(&self) -> Option<&Schedule> {
+        self.outcome.as_ref()?.completed()?.schedule.as_ref()
     }
 }
 
@@ -48,8 +66,31 @@ pub struct GridOutcome {
     pub repartition: Repartition,
     /// Per-cluster outcomes, in cluster-id order.
     pub clusters: Vec<ClusterOutcome>,
-    /// Grid makespan: the slowest cluster.
+    /// Grid makespan: the slowest completed cluster, staging included.
     pub makespan: f64,
+    /// Whether every used cluster completed its campaign (no cluster
+    /// was stranded by its fault plan).
+    pub complete: bool,
+}
+
+/// One cluster's campaign knobs: the full [`CampaignConfig`] (scenario
+/// policy × task granularity × recovery model) plus a [`FaultPlan`]
+/// whose group ids are local to the cluster's grouping.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct ClusterCampaign {
+    /// The cluster's event-loop configuration.
+    pub config: CampaignConfig,
+    /// Group failures to inject on this cluster.
+    pub faults: FaultPlan,
+}
+
+/// The paper's campaign under `config` on every cluster of `grid`.
+fn uniform(grid: &Grid, config: ExecConfig) -> Vec<ClusterCampaign> {
+    let campaign = ClusterCampaign {
+        config: CampaignConfig::fused(config.policy),
+        faults: FaultPlan::none(),
+    };
+    vec![campaign; grid.len()]
 }
 
 /// Plans (via Algorithm 1 on `heuristic`'s performance vectors) and
@@ -65,9 +106,7 @@ pub fn run_grid(
 }
 
 /// Like [`run_grid`], but streams every cluster's execution into
-/// `tracer` — each cluster's events are stamped with its cluster id
-/// (see [`ClusterTag`]), preceded by a `Decision` event naming the
-/// grouping the heuristic chose there.
+/// `tracer` (see [`execute_grid`]).
 pub fn run_grid_traced<T: Tracer>(
     grid: &Grid,
     heuristic: Heuristic,
@@ -76,8 +115,7 @@ pub fn run_grid_traced<T: Tracer>(
     config: ExecConfig,
     tracer: &mut T,
 ) -> Result<GridOutcome, HeuristicError> {
-    let vectors = grid_performance(grid, heuristic, ns, nm);
-    let plan = repartition(&vectors);
+    let plan = repartition(&grid_performance(grid, heuristic, ns, nm));
     execute_repartition_traced(grid, &plan, heuristic, nm, config, tracer)
 }
 
@@ -92,7 +130,7 @@ pub fn execute_repartition(
     execute_repartition_traced(grid, plan, heuristic, nm, config, &mut NullTracer)
 }
 
-/// Traced variant of [`execute_repartition`]; see [`run_grid_traced`].
+/// Traced variant of [`execute_repartition`]; see [`execute_grid`].
 pub fn execute_repartition_traced<T: Tracer>(
     grid: &Grid,
     plan: &Repartition,
@@ -101,122 +139,62 @@ pub fn execute_repartition_traced<T: Tracer>(
     config: ExecConfig,
     tracer: &mut T,
 ) -> Result<GridOutcome, HeuristicError> {
-    let mut clusters = Vec::with_capacity(grid.len());
-    let mut makespan = 0.0f64;
-    for (id, cluster) in grid.iter() {
-        let scenarios = plan.scenarios_of(id);
-        let schedule = if scenarios.is_empty() {
-            None
-        } else {
-            let inst = Instance::new(scenarios.len() as u32, nm, cluster.resources);
-            let grouping = heuristic.grouping(inst, &cluster.timing)?;
-            let mut tag = ClusterTag::new(tracer, id.0, 0.0);
-            if tag.enabled() {
-                tag.record(TraceEvent::at(
-                    0.0,
-                    EventKind::Decision {
-                        heuristic: heuristic.label().to_string(),
-                        groups: grouping.groups().to_vec(),
-                        post_procs: grouping.post_procs,
-                    },
-                ));
-            }
-            let sched = execute_traced(inst, &cluster.timing, &grouping, config, &mut tag)
-                .expect("heuristics build valid groupings");
-            makespan = makespan.max(sched.makespan);
-            Some(sched)
-        };
-        clusters.push(ClusterOutcome {
-            cluster: id,
-            scenarios,
-            schedule,
-        });
-    }
-    Ok(GridOutcome {
-        repartition: plan.clone(),
-        clusters,
-        makespan,
-    })
+    let campaigns = uniform(grid, config);
+    execute_grid(grid, plan, heuristic, nm, &campaigns, None, tracer)
 }
 
-/// Per-cluster campaign knobs for a configured grid run: the full
-/// [`CampaignConfig`] (scenario policy × task granularity × recovery
-/// model) plus a [`FaultPlan`] whose group ids are local to the
-/// cluster's grouping. Before the engine refactor each cluster could
-/// only run the fused, fault-free, least-advanced loop.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ClusterCampaign {
-    /// The cluster's event-loop configuration.
-    pub config: CampaignConfig,
-    /// Group failures to inject on this cluster.
-    pub faults: FaultPlan,
-}
-
-/// One cluster's part of a configured grid execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConfiguredClusterOutcome {
-    /// Which cluster.
-    pub cluster: ClusterId,
-    /// Global scenario ids this cluster ran (local id = index here).
-    pub scenarios: Vec<u32>,
-    /// The campaign outcome, if any scenarios were assigned.
-    pub outcome: Option<CampaignOutcome>,
-}
-
-impl ConfiguredClusterOutcome {
-    /// Local makespan (0 when idle or stranded).
-    pub fn makespan(&self) -> f64 {
-        self.outcome
-            .as_ref()
-            .and_then(CampaignOutcome::makespan)
-            .unwrap_or(0.0)
-    }
-}
-
-/// Outcome of a configured grid execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConfiguredGridOutcome {
-    /// The repartition that was executed.
-    pub repartition: Repartition,
-    /// Per-cluster outcomes, in cluster-id order.
-    pub clusters: Vec<ConfiguredClusterOutcome>,
-    /// Grid makespan: the slowest completed cluster.
-    pub makespan: f64,
-    /// Whether every used cluster completed its campaign (no cluster
-    /// was stranded by its fault plan).
-    pub complete: bool,
-}
-
-/// Plans (via Algorithm 1 on `heuristic`'s performance vectors) and
-/// executes `ns` scenarios of `nm` months on `grid`, with per-cluster
-/// campaign knobs — one [`ClusterCampaign`] per cluster, in id order.
-///
-/// Panics if `campaigns.len() != grid.len()`.
-pub fn run_grid_configured(
+/// Like [`run_grid`], but charges wide-area staging costs per cluster
+/// (stage-in before the first month, final repatriation after the last
+/// one) using one [`Link`] per cluster.
+pub fn run_grid_with_staging(
     grid: &Grid,
     heuristic: Heuristic,
     ns: u32,
     nm: u32,
-    campaigns: &[ClusterCampaign],
-) -> Result<ConfiguredGridOutcome, HeuristicError> {
-    let vectors = grid_performance(grid, heuristic, ns, nm);
-    let plan = repartition(&vectors);
-    execute_repartition_configured_traced(grid, &plan, heuristic, nm, campaigns, &mut NullTracer)
+    config: ExecConfig,
+    links: &[Link],
+    staging: &StagingModel,
+) -> Result<GridOutcome, HeuristicError> {
+    let plan = repartition(&grid_performance(grid, heuristic, ns, nm));
+    let campaigns = uniform(grid, config);
+    let staging = Some((links, staging));
+    execute_grid(
+        grid,
+        &plan,
+        heuristic,
+        nm,
+        &campaigns,
+        staging,
+        &mut NullTracer,
+    )
 }
 
-/// Executes an existing repartition with per-cluster campaign knobs,
-/// streaming every cluster's events (cluster-stamped, with a `Decision`
-/// per used cluster) into `tracer`. Panics if `campaigns.len() !=
-/// grid.len()`.
-pub fn execute_repartition_configured_traced<T: Tracer>(
+/// Executes `plan` on `grid`, cluster `i` running `campaigns[i]` on the
+/// grouping `heuristic` picks for its scenarios. Every cluster's events
+/// reach `tracer` stamped with its cluster id (see [`ClusterTag`]).
+///
+/// Without `staging`, each used cluster's stream opens with a
+/// `Decision` event naming the grouping. With `staging` (one link per
+/// cluster), the cluster's events are shifted onto the grid timeline by
+/// its stage-in delay and bracketed by `TransferStart`/`TransferFinish`
+/// pairs for the stage-in and the final repatriation instead, and the
+/// cluster's contribution to the grid makespan includes both.
+///
+/// Panics if `campaigns` or the links do not have one entry per
+/// cluster.
+pub fn execute_grid<T: Tracer>(
     grid: &Grid,
     plan: &Repartition,
     heuristic: Heuristic,
     nm: u32,
     campaigns: &[ClusterCampaign],
+    staging: Option<(&[Link], &StagingModel)>,
     tracer: &mut T,
-) -> Result<ConfiguredGridOutcome, HeuristicError> {
+) -> Result<GridOutcome, HeuristicError> {
     assert_eq!(campaigns.len(), grid.len(), "one campaign per cluster");
+    if let Some((links, _)) = staging {
+        assert_eq!(links.len(), grid.len(), "one link per cluster");
+    }
     let mut clusters = Vec::with_capacity(grid.len());
     let mut makespan = 0.0f64;
     let mut complete = true;
@@ -225,18 +203,28 @@ pub fn execute_repartition_configured_traced<T: Tracer>(
         let outcome = if scenarios.is_empty() {
             None
         } else {
-            let inst = Instance::new(scenarios.len() as u32, nm, cluster.resources);
+            let n = scenarios.len() as u32;
+            let inst = Instance::new(n, nm, cluster.resources);
             let grouping = heuristic.grouping(inst, &cluster.timing)?;
-            let mut tag = ClusterTag::new(tracer, id.0, 0.0);
+            let delays =
+                staging.map(|(links, model)| staging_delays(model, &links[id.index()], n, nm));
+            let (pre, post) = delays.unwrap_or((0.0, 0.0));
+            // Compute events start after stage-in completes.
+            let mut tag = ClusterTag::new(tracer, id.0, pre);
             if tag.enabled() {
-                tag.record(TraceEvent::at(
-                    0.0,
-                    EventKind::Decision {
-                        heuristic: heuristic.label().to_string(),
-                        groups: grouping.groups().to_vec(),
-                        post_procs: grouping.post_procs,
-                    },
-                ));
+                if delays.is_some() {
+                    // From absolute t = 0, before the tag's offset.
+                    record_transfer(&mut tag, TransferKind::StageIn, n, -pre, pre);
+                } else {
+                    tag.record(TraceEvent::at(
+                        0.0,
+                        EventKind::Decision {
+                            heuristic: heuristic.label().to_string(),
+                            groups: grouping.groups().to_vec(),
+                            post_procs: grouping.post_procs,
+                        },
+                    ));
+                }
             }
             let out = simulate_campaign(
                 inst,
@@ -248,18 +236,23 @@ pub fn execute_repartition_configured_traced<T: Tracer>(
             )
             .expect("heuristics build valid groupings");
             match &out {
-                CampaignOutcome::Completed(run) => makespan = makespan.max(run.makespan),
+                CampaignOutcome::Completed(run) => {
+                    if delays.is_some() && tag.enabled() {
+                        record_transfer(&mut tag, TransferKind::Repatriate, n, run.makespan, post);
+                    }
+                    makespan = makespan.max(pre + run.makespan + post);
+                }
                 CampaignOutcome::Stranded { .. } => complete = false,
             }
             Some(out)
         };
-        clusters.push(ConfiguredClusterOutcome {
+        clusters.push(ClusterOutcome {
             cluster: id,
             scenarios,
             outcome,
         });
     }
-    Ok(ConfiguredGridOutcome {
+    Ok(GridOutcome {
         repartition: plan.clone(),
         clusters,
         makespan,
@@ -267,119 +260,33 @@ pub fn execute_repartition_configured_traced<T: Tracer>(
     })
 }
 
-/// Like [`run_grid`], but charges wide-area staging costs per cluster
-/// (stage-in before the first month, final repatriation after the last
-/// one) using one [`crate::transfer::Link`] per cluster.
-pub fn run_grid_with_staging(
-    grid: &Grid,
-    heuristic: Heuristic,
-    ns: u32,
-    nm: u32,
-    config: ExecConfig,
-    links: &[crate::transfer::Link],
-    staging: &crate::transfer::StagingModel,
-) -> Result<GridOutcome, HeuristicError> {
-    run_grid_with_staging_traced(
-        grid,
-        heuristic,
-        ns,
-        nm,
-        config,
-        links,
-        staging,
-        &mut NullTracer,
-    )
-}
-
-/// Traced variant of [`run_grid_with_staging`]: each cluster's compute
-/// events are shifted onto the grid timeline by its stage-in delay, and
-/// the stage-in / repatriation transfers appear as `TransferStart` /
-/// `TransferFinish` pairs bracketing the computation.
-#[allow(clippy::too_many_arguments)]
-pub fn run_grid_with_staging_traced<T: Tracer>(
-    grid: &Grid,
-    heuristic: Heuristic,
-    ns: u32,
-    nm: u32,
-    config: ExecConfig,
-    links: &[crate::transfer::Link],
-    staging: &crate::transfer::StagingModel,
-    tracer: &mut T,
-) -> Result<GridOutcome, HeuristicError> {
-    assert_eq!(links.len(), grid.len(), "one link per cluster");
-    let vectors = grid_performance(grid, heuristic, ns, nm);
-    let plan = repartition(&vectors);
-    let mut clusters = Vec::with_capacity(grid.len());
-    let mut makespan = 0.0f64;
-    for ((id, cluster), link) in grid.iter().zip(links) {
-        let scenarios = plan.scenarios_of(id);
-        let schedule = if scenarios.is_empty() {
-            None
-        } else {
-            let n = scenarios.len() as u32;
-            let inst = Instance::new(n, nm, cluster.resources);
-            let grouping = heuristic.grouping(inst, &cluster.timing)?;
-            let (pre, post) = crate::transfer::staging_delays(staging, link, n, nm);
-            // Compute events start after stage-in completes.
-            let mut tag = ClusterTag::new(tracer, id.0, pre);
-            if tag.enabled() {
-                tag.record(TraceEvent::at(
-                    -pre, // absolute t = 0 after the tag's offset
-                    EventKind::TransferStart {
-                        kind: TransferKind::StageIn,
-                        scenarios: n,
-                        secs: pre,
-                    },
-                ));
-                tag.record(TraceEvent::at(
-                    0.0,
-                    EventKind::TransferFinish {
-                        kind: TransferKind::StageIn,
-                        scenarios: n,
-                    },
-                ));
-            }
-            let sched = execute_traced(inst, &cluster.timing, &grouping, config, &mut tag)
-                .expect("heuristics build valid groupings");
-            if tag.enabled() {
-                tag.record(TraceEvent::at(
-                    sched.makespan,
-                    EventKind::TransferStart {
-                        kind: TransferKind::Repatriate,
-                        scenarios: n,
-                        secs: post,
-                    },
-                ));
-                tag.record(TraceEvent::at(
-                    sched.makespan + post,
-                    EventKind::TransferFinish {
-                        kind: TransferKind::Repatriate,
-                        scenarios: n,
-                    },
-                ));
-            }
-            makespan = makespan.max(pre + sched.makespan + post);
-            Some(sched)
-        };
-        clusters.push(ClusterOutcome {
-            cluster: id,
+/// Records a wide-area transfer of `scenarios` scenarios' data that
+/// starts at `start` (cluster time) and takes `secs`.
+fn record_transfer<T: Tracer>(
+    tag: &mut ClusterTag<'_, T>,
+    kind: TransferKind,
+    scenarios: u32,
+    start: f64,
+    secs: f64,
+) {
+    tag.record(TraceEvent::at(
+        start,
+        EventKind::TransferStart {
+            kind,
             scenarios,
-            schedule,
-        });
-    }
-    Ok(GridOutcome {
-        repartition: plan,
-        clusters,
-        makespan,
-    })
+            secs,
+        },
+    ));
+    tag.record(TraceEvent::at(
+        start + secs,
+        EventKind::TransferFinish { kind, scenarios },
+    ));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transfer::{Link, StagingModel};
     use oa_platform::presets::benchmark_grid;
-    use oa_sched::hetero::grid_performance;
 
     #[test]
     fn grid_run_covers_all_scenarios() {
@@ -388,7 +295,7 @@ mod tests {
         let total: usize = out.clusters.iter().map(|c| c.scenarios.len()).sum();
         assert_eq!(total, 10);
         for c in &out.clusters {
-            if let Some(s) = &c.schedule {
+            if let Some(s) = c.schedule() {
                 s.validate().unwrap();
                 assert_eq!(s.instance.ns as usize, c.scenarios.len());
             }
@@ -502,7 +409,11 @@ mod tests {
                     if heuristic == Heuristic::Knapsack.label())
             })
             .count();
-        let used = out.clusters.iter().filter(|c| c.schedule.is_some()).count();
+        let used = out
+            .clusters
+            .iter()
+            .filter(|c| c.schedule().is_some())
+            .count();
         assert_eq!(decisions, used);
         // The slowest cluster's campaign end is the grid makespan.
         let max_end = events
@@ -521,14 +432,14 @@ mod tests {
         let grid = benchmark_grid(25);
         let links = vec![Link::gigabit(); grid.len()];
         let mut sink = VecTracer::new();
-        let out = run_grid_with_staging_traced(
+        let plan = repartition(&grid_performance(&grid, Heuristic::Knapsack, 10, 12));
+        let out = execute_grid(
             &grid,
+            &plan,
             Heuristic::Knapsack,
-            10,
             12,
-            ExecConfig::default(),
-            &links,
-            &StagingModel::default(),
+            &uniform(&grid, ExecConfig::default()),
+            Some((&links, &StagingModel::default())),
             &mut sink,
         )
         .unwrap();
@@ -575,13 +486,27 @@ mod tests {
         );
     }
 
+    /// Plans `ns × nm` with Knapsack and runs `campaigns` on it.
+    fn run_configured(grid: &Grid, ns: u32, nm: u32, campaigns: &[ClusterCampaign]) -> GridOutcome {
+        let plan = repartition(&grid_performance(grid, Heuristic::Knapsack, ns, nm));
+        execute_grid(
+            grid,
+            &plan,
+            Heuristic::Knapsack,
+            nm,
+            campaigns,
+            None,
+            &mut NullTracer,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn configured_grid_with_defaults_matches_the_plain_run() {
         let grid = benchmark_grid(30);
         let plain = run_grid(&grid, Heuristic::Knapsack, 10, 12, ExecConfig::default()).unwrap();
         let campaigns = vec![ClusterCampaign::default(); grid.len()];
-        let configured =
-            run_grid_configured(&grid, Heuristic::Knapsack, 10, 12, &campaigns).unwrap();
+        let configured = run_configured(&grid, 10, 12, &campaigns);
         assert!(configured.complete);
         assert_eq!(configured.makespan.to_bits(), plain.makespan.to_bits());
         assert_eq!(configured.repartition, plain.repartition);
@@ -600,10 +525,10 @@ mod tests {
         let mut campaigns = vec![ClusterCampaign::default(); grid.len()];
         campaigns[0].config = CampaignConfig::unfused(ScenarioPolicy::RoundRobin);
         campaigns[1].faults = FaultPlan::none().kill(0, 2000.0);
-        let out = run_grid_configured(&grid, Heuristic::Knapsack, 10, 12, &campaigns).unwrap();
+        let out = run_configured(&grid, 10, 12, &campaigns);
         assert!(out.complete, "one group failure cannot strand a cluster");
         let defaults = vec![ClusterCampaign::default(); grid.len()];
-        let base = run_grid_configured(&grid, Heuristic::Knapsack, 10, 12, &defaults).unwrap();
+        let base = run_configured(&grid, 10, 12, &defaults);
         // Untouched clusters are bitwise unchanged…
         for i in 2..grid.len() {
             assert_eq!(
@@ -634,19 +559,20 @@ mod tests {
         use oa_sched::policy::FaultPlan;
         let grid = benchmark_grid(30);
         let defaults = vec![ClusterCampaign::default(); grid.len()];
-        let base = run_grid_configured(&grid, Heuristic::Knapsack, 10, 12, &defaults).unwrap();
+        let base = run_configured(&grid, 10, 12, &defaults);
         let groups_used = {
             // Recover the grouping sizes cluster 0 used from its trace.
             use oa_trace::prelude::*;
             let mut sink = VecTracer::new();
             let vectors = grid_performance(&grid, Heuristic::Knapsack, 10, 12);
             let plan = repartition(&vectors);
-            execute_repartition_configured_traced(
+            execute_grid(
                 &grid,
                 &plan,
                 Heuristic::Knapsack,
                 12,
                 &defaults,
+                None,
                 &mut sink,
             )
             .unwrap();
@@ -662,7 +588,7 @@ mod tests {
         campaigns[0].faults = FaultPlan {
             failures: (0..groups_used).map(|g| (g, 10.0)).collect(),
         };
-        let out = run_grid_configured(&grid, Heuristic::Knapsack, 10, 12, &campaigns).unwrap();
+        let out = run_configured(&grid, 10, 12, &campaigns);
         assert!(!out.complete, "an all-dead cluster strands the grid");
         assert!(matches!(
             out.clusters[0].outcome,
@@ -684,10 +610,14 @@ mod tests {
         // scenario only the best cluster is used.
         let grid = benchmark_grid(30);
         let out = run_grid(&grid, Heuristic::Knapsack, 1, 6, ExecConfig::default()).unwrap();
-        let used = out.clusters.iter().filter(|c| c.schedule.is_some()).count();
+        let used = out
+            .clusters
+            .iter()
+            .filter(|c| c.schedule().is_some())
+            .count();
         assert_eq!(used, 1);
         assert!(
-            out.clusters[0].schedule.is_some(),
+            out.clusters[0].schedule().is_some(),
             "fastest (first) cluster should win"
         );
     }

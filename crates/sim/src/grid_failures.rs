@@ -25,10 +25,8 @@ use oa_platform::grid::Grid;
 use oa_sched::heuristics::{Heuristic, HeuristicError};
 use oa_sched::params::Instance;
 
-use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioPolicy};
-
 use crate::executor::ExecConfig;
-use crate::grid_exec::{run_grid, ClusterCampaign, ConfiguredGridOutcome, GridOutcome};
+use crate::grid_exec::{run_grid, GridOutcome};
 use crate::transfer::{migration_secs, Link};
 
 /// What happens to the victim cluster's scenarios.
@@ -107,7 +105,7 @@ pub fn run_grid_with_cluster_failure(
     let mut victim_scenarios = Vec::new();
     let mut checkpointed = 0u64;
     let mut remaining = 0u64;
-    if let Some(schedule) = &victim.schedule {
+    if let Some(schedule) = victim.schedule() {
         let local_ns = schedule.instance.ns;
         let mut done = vec![0u32; local_ns as usize];
         for r in schedule.mains() {
@@ -225,39 +223,6 @@ pub fn run_grid_with_cluster_failure(
             })
         }
     }
-}
-
-/// Grid execution with *group-level* failures: each cluster keeps
-/// running, but individual groups inside it may crash, replayed by the
-/// shared campaign engine under `recovery`. This sits between the
-/// failure-free grid of [`run_grid`] and the whole-cluster loss of
-/// [`run_grid_with_cluster_failure`] — a granularity the pre-engine
-/// executors could not express, because the grid loop only knew how to
-/// call the fused fault-free path.
-///
-/// `faults[i]` holds cluster `i`'s failures (local group ids). Panics
-/// if `faults.len() != grid.len()`.
-pub fn run_grid_with_group_failures(
-    grid: &Grid,
-    heuristic: Heuristic,
-    ns: u32,
-    nm: u32,
-    recovery: Recovery,
-    faults: &[FaultPlan],
-) -> Result<ConfiguredGridOutcome, HeuristicError> {
-    assert_eq!(faults.len(), grid.len(), "one fault plan per cluster");
-    let campaigns: Vec<ClusterCampaign> = faults
-        .iter()
-        .map(|plan| ClusterCampaign {
-            config: CampaignConfig {
-                policy: ScenarioPolicy::LeastAdvanced,
-                granularity: Granularity::Fused,
-                recovery,
-            },
-            faults: plan.clone(),
-        })
-        .collect();
-    crate::grid_exec::run_grid_configured(grid, heuristic, ns, nm, &campaigns)
 }
 
 /// Completion time of survivor `i` adopting `k` scenarios of
@@ -406,34 +371,47 @@ mod tests {
 
     #[test]
     fn group_failures_degrade_one_cluster_without_stranding_the_grid() {
+        use crate::grid_exec::{execute_grid, ClusterCampaign};
+        use oa_sched::hetero::{grid_performance, repartition};
+        use oa_sched::policy::{CampaignConfig, FaultPlan, Recovery};
         let grid = setup();
         let clean = run_grid(&grid, Heuristic::Knapsack, 10, 24, ExecConfig::default()).unwrap();
+        // Group failures on each cluster (local group ids), replayed by
+        // the campaign engine under `recovery`.
+        let plan = repartition(&grid_performance(&grid, Heuristic::Knapsack, 10, 24));
+        let run = |recovery, faults: &[FaultPlan]| {
+            let config = CampaignConfig {
+                recovery,
+                ..CampaignConfig::default()
+            };
+            let campaigns: Vec<ClusterCampaign> = faults
+                .iter()
+                .map(|plan| ClusterCampaign {
+                    config,
+                    faults: plan.clone(),
+                })
+                .collect();
+            execute_grid(
+                &grid,
+                &plan,
+                Heuristic::Knapsack,
+                24,
+                &campaigns,
+                None,
+                &mut oa_trace::NullTracer,
+            )
+            .unwrap()
+        };
         // No failures anywhere: bitwise-identical to the plain grid run.
         let none = vec![FaultPlan::none(); grid.len()];
-        let base = run_grid_with_group_failures(
-            &grid,
-            Heuristic::Knapsack,
-            10,
-            24,
-            Recovery::MonthlyCheckpoint,
-            &none,
-        )
-        .unwrap();
+        let base = run(Recovery::MonthlyCheckpoint, &none);
         assert!(base.complete);
         assert_eq!(base.makespan.to_bits(), clean.makespan.to_bits());
         // Kill one group on cluster 2 mid-campaign: that cluster loses
         // at most a month per its checkpoints; the others are untouched.
         let mut faults = none;
         faults[2] = FaultPlan::none().kill(0, clean.makespan * 0.3);
-        let hurt = run_grid_with_group_failures(
-            &grid,
-            Heuristic::Knapsack,
-            10,
-            24,
-            Recovery::MonthlyCheckpoint,
-            &faults,
-        )
-        .unwrap();
+        let hurt = run(Recovery::MonthlyCheckpoint, &faults);
         assert!(hurt.complete, "one group loss cannot strand a cluster");
         assert!(hurt.clusters[2].makespan() > base.clusters[2].makespan());
         for i in [0usize, 1, 3, 4] {
@@ -443,15 +421,7 @@ mod tests {
             );
         }
         // Restart-from-scratch recovery can only be worse on the victim.
-        let restart = run_grid_with_group_failures(
-            &grid,
-            Heuristic::Knapsack,
-            10,
-            24,
-            Recovery::RestartScenario,
-            &faults,
-        )
-        .unwrap();
+        let restart = run(Recovery::RestartScenario, &faults);
         assert!(restart.clusters[2].makespan() + 1e-9 >= hurt.clusters[2].makespan());
     }
 

@@ -7,8 +7,9 @@
 //!   dependences, processor exclusivity, moldable group sizes;
 //! * [`engine`] — the one generic discrete-event campaign loop, driven
 //!   by an `oa_sched::policy::CampaignConfig` (scenario policy × task
-//!   granularity × recovery model) plus a fault plan and a tracer; the
-//!   modules below are thin configurations of it. The loop carries a
+//!   granularity × recovery model) plus a fault plan and a tracer.
+//!   Unfused (Figure 1) and faulty campaigns are configurations of it,
+//!   read straight from its `CampaignOutcome`. The loop carries a
 //!   two-part simulation kernel (steady-state fast-forward + the
 //!   integer-time [`calendar`] queue), bitwise identical to
 //!   event-by-event execution and controlled via
@@ -25,24 +26,35 @@
 //!   of the `oa-service` daemon);
 //! * [`executor`] — fused fault-free execution under the paper's
 //!   least-advanced-first policy (plus round-robin and most-advanced
-//!   ablations), producing full schedules;
+//!   ablations), producing full schedules — the engine's one
+//!   single-cluster wrapper;
 //! * [`gantt`] — ASCII Gantt rendering (the paper's Figures 3–6);
 //! * [`metrics`] — utilization, fairness, phase-split accounting;
 //! * [`tracing`] — bridges to the `oa-trace` observability layer:
 //!   schedule → event-stream conversion and the cluster-tagging
 //!   adapter for grid timelines;
 //! * [`grid_exec`] — multi-cluster execution of an Algorithm 1
-//!   repartition (the simulation behind Figure 10);
+//!   repartition (the simulation behind Figure 10): one engine run per
+//!   cluster, each with its own configuration and fault plan, with
+//!   optional wide-area staging;
+//! * [`grid_failures`] — whole-cluster loss at grid level, stranding
+//!   or re-planning the victim's scenarios;
+//! * [`transfer`] — wide-area staging and migration costs;
+//! * [`persist`] — schedule persistence (JSON) and comparison;
+//! * [`profile`] — processor-occupancy profiles of a schedule, split by
+//!   phase;
 //! * [`ir_exec`] — execution of the generalized workflow IR: a ready-
 //!   set list scheduler driven purely by IR precedence for arbitrary
 //!   DAGs, and a router that sends recognized ocean-atmosphere preset
 //!   meshes through the legacy [`engine`] unchanged (byte-identical
 //!   outputs, integer-time kernel gate preserved).
 //!
-//! The makespans produced here agree (to float tolerance) with the
-//! fast aggregate estimator `oa_sched::estimate` — property-tested in
-//! this crate — so heuristics can plan with the estimator and the
-//! simulator remains the single source of truth for *schedules*.
+//! The makespans produced here agree bit for bit with the fast
+//! aggregate estimator `oa_sched::estimate`, an independent
+//! implementation of the same policy that returns only aggregates
+//! (property-tested in this crate), so heuristics can plan with the
+//! estimator and the simulator remains the single source of truth for
+//! *schedules*.
 //!
 //! # Examples
 //!
@@ -66,7 +78,6 @@ pub mod calendar;
 pub mod driver;
 pub mod engine;
 pub mod executor;
-pub mod failures;
 pub(crate) mod ffwd;
 pub mod gantt;
 pub mod grid_exec;
@@ -78,7 +89,6 @@ pub mod profile;
 pub mod schedule;
 pub mod tracing;
 pub mod transfer;
-pub mod unfused;
 
 /// One-stop imports for downstream crates.
 pub mod prelude {
@@ -94,19 +104,13 @@ pub mod prelude {
     pub use crate::executor::{
         execute, execute_default, execute_traced, ExecConfig, ScenarioPolicy,
     };
-    pub use crate::failures::{
-        estimate_with_failures, estimate_with_failures_traced, FaultPlan, FaultyOutcome, Recovery,
-    };
     pub use crate::gantt::{render, render_default, GanttOptions};
     pub use crate::grid_exec::{
-        execute_repartition, execute_repartition_configured_traced, execute_repartition_traced,
-        run_grid, run_grid_configured, run_grid_traced, run_grid_with_staging,
-        run_grid_with_staging_traced, ClusterCampaign, ClusterOutcome, ConfiguredClusterOutcome,
-        ConfiguredGridOutcome, GridOutcome,
+        execute_grid, execute_repartition, execute_repartition_traced, run_grid, run_grid_traced,
+        run_grid_with_staging, ClusterCampaign, ClusterOutcome, GridOutcome,
     };
     pub use crate::grid_failures::{
-        run_grid_with_cluster_failure, run_grid_with_group_failures, ClusterFailurePolicy,
-        ClusterFailureSpec, GridFailureOutcome,
+        run_grid_with_cluster_failure, ClusterFailurePolicy, ClusterFailureSpec, GridFailureOutcome,
     };
     pub use crate::ir_exec::{
         execute_ir, simulate_ir, IrExecError, IrOutcome, IrRecord, IrSchedule, IrSimError,
@@ -117,8 +121,7 @@ pub mod prelude {
     pub use crate::schedule::{ProcRange, Schedule, ScheduleError, TaskRecord};
     pub use crate::tracing::{events_of, ClusterTag};
     pub use crate::transfer::{migration_secs, staging_delays, Link, StagingModel};
-    pub use crate::unfused::{estimate_unfused, estimate_unfused_traced, UnfusedEstimate};
-    pub use oa_sched::policy::{CampaignConfig, Granularity};
+    pub use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery};
 }
 
 #[cfg(test)]
@@ -161,7 +164,7 @@ mod proptests {
                 let sched = execute(inst, &table, &grouping, ExecConfig::default()).unwrap();
                 prop_assert!(sched.validate().is_ok(), "{h:?}: invalid schedule");
                 let est = estimate(inst, &table, &grouping).unwrap();
-                prop_assert!((sched.makespan - est.makespan).abs() < 1e-6,
+                prop_assert_eq!(sched.makespan.to_bits(), est.makespan.to_bits(),
                     "{h:?}: sim {} vs estimate {}", sched.makespan, est.makespan);
             }
         }
@@ -171,7 +174,8 @@ mod proptests {
             (inst, table) in (arb_instance(), arb_table()),
             kills in proptest::collection::vec((0usize..4, 0.0f64..1.5), 0..4),
         ) {
-            use crate::failures::{estimate_with_failures, FaultPlan, FaultyOutcome, Recovery};
+            use crate::engine::{simulate_campaign, CampaignOutcome};
+            use oa_sched::policy::{CampaignConfig, FaultPlan};
             let Ok(grouping) = Heuristic::Knapsack.grouping(inst, &table) else { return Ok(()) };
             let clean = estimate(inst, &table, &grouping).unwrap().makespan;
             let plan = FaultPlan {
@@ -180,10 +184,13 @@ mod proptests {
                     .map(|&(g, f)| (g % grouping.group_count().max(1), f * clean))
                     .collect(),
             };
-            let out = estimate_with_failures(inst, &table, &grouping, &plan, Recovery::MonthlyCheckpoint)
+            let config = CampaignConfig::default(); // fused, monthly checkpoints
+            let out = simulate_campaign(inst, &table, &grouping, &config, &plan, &mut oa_trace::NullTracer)
                 .unwrap();
             match out {
-                FaultyOutcome::Completed { makespan, lost_proc_secs, months_lost } => {
+                CampaignOutcome::Completed(run) => {
+                    let (makespan, lost_proc_secs, months_lost) =
+                        (run.makespan, run.lost_proc_secs, run.months_lost);
                     // NOTE: failures can legitimately *shorten* the
                     // campaign when groups are heterogeneous — killing a
                     // slow group re-homes its month onto a faster one,
@@ -202,7 +209,7 @@ mod proptests {
                     prop_assert!(lost_proc_secs <= bound + 1e-6);
                     prop_assert!(months_lost as usize <= plan.failures.len());
                 }
-                FaultyOutcome::Stranded { completed_months } => {
+                CampaignOutcome::Stranded { completed_months } => {
                     prop_assert!(completed_months < inst.nbtasks());
                 }
             }

@@ -6,13 +6,17 @@
 //! optimizations; if any of them moves a single output bit, these
 //! properties fail.
 //!
-//! `PROPTEST_CASES` raises the case count in CI's release-mode
-//! differential job.
+//! Case counts scale with the build profile: the release-mode CI
+//! differential job runs 256 cases, a debug `cargo test` keeps the
+//! quick count (the vendored proptest is deterministic, so the release
+//! run strictly extends the debug one).
 
 use ocean_atmosphere::par::Pool;
 use ocean_atmosphere::prelude::*;
 use ocean_atmosphere::service::daemon::{run_script, Service, ServiceConfig};
 use proptest::prelude::*;
+
+const CASES: u32 = if cfg!(debug_assertions) { 16 } else { 256 };
 
 /// Worker counts under test: the serial short-circuit, a typical small
 /// pool, and an oversubscribed one.
@@ -120,7 +124,7 @@ fn individual_rows(spec: &BatchSpec) -> Vec<VariantOut> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// The hard invariant: batch == naive == one-at-a-time engine
     /// runs, row for row, at every worker count.

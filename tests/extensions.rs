@@ -7,9 +7,9 @@ use ocean_atmosphere::prelude::*;
 use ocean_atmosphere::sched::generic::{
     balanced_generic, estimate_generic, knapsack_generic, Workload,
 };
-use ocean_atmosphere::sim::unfused::estimate_unfused;
 
-/// The generic path specializes exactly to the Ocean-Atmosphere path.
+/// The generic path specializes exactly to the Ocean-Atmosphere path:
+/// same grouping, same makespan bits (both estimators run one loop).
 #[test]
 fn generic_specializes_to_oa() {
     let table = reference_cluster(77).timing;
@@ -23,7 +23,7 @@ fn generic_specializes_to_oa() {
         assert_eq!(oa.groups(), gen.sizes());
         let oa_ms = estimate(inst, &table, &oa).expect("valid").makespan;
         let gen_ms = estimate_generic(&w, r, &gen).expect("valid").makespan;
-        assert!((oa_ms - gen_ms).abs() < 1e-9);
+        assert_eq!(oa_ms.to_bits(), gen_ms.to_bits(), "{oa_ms} vs {gen_ms}");
     }
 }
 
@@ -73,7 +73,18 @@ fn fusion_is_safe_at_scale() {
         .grouping(inst, &table)
         .expect("feasible");
     let fused = estimate(inst, &table, &g).expect("valid").makespan;
-    let unfused = estimate_unfused(inst, &table, &g).expect("valid").makespan;
+    let config = CampaignConfig::unfused(ScenarioPolicy::LeastAdvanced);
+    let unfused = simulate_campaign(
+        inst,
+        &table,
+        &g,
+        &config,
+        &FaultPlan::none(),
+        &mut NullTracer,
+    )
+    .expect("valid")
+    .makespan()
+    .expect("fault-free runs complete");
     assert!((fused - unfused).abs() / fused < 0.005);
 }
 
