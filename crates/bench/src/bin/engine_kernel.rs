@@ -21,10 +21,14 @@
 //! (checksums) and beat it by a comfortable margin even on a loaded
 //! runner.
 //!
-//! The full run also records the batch engine's campaigns/sec against
-//! the naive loop at 10³ and 10⁴ variants (single-fault Monte Carlo at
-//! the reference shape, one core); pass `--big` to add the 10⁵ point
-//! (the naive baseline alone takes ~90 s there).
+//! The full run also times the paper's knapsack grouping at R = 53
+//! (NS = 10, NM = 1800, fused and unfused), and records the batch
+//! engine's campaigns/sec against the naive loop at 10³ and 10⁴
+//! variants (single-fault Monte Carlo at the reference shape, one
+//! core) and on the knapsack sweep request (`batch_knapsack`: R ∈ {25,
+//! 53, 99}, fused and unfused, up to two faults); pass `--big` to add
+//! the 10⁵ reference point (the naive baseline alone takes ~90 s
+//! there).
 
 use std::time::Instant;
 
@@ -41,6 +45,28 @@ use serde::Value;
 const NS: u32 = 10;
 const R: u32 = 53;
 const NMS: [u32; 3] = [120, 1800, 18000];
+
+/// Timed shapes: `(row key prefix, heuristic, campaign lengths)`. The
+/// basic 7×7 grouping is the kernel's home ground; the knapsack
+/// grouping (`4×8 + 3×7`) is the paper's Improvement 3 on the same
+/// cluster.
+const SHAPES: [(&str, Heuristic, &[u32]); 2] = [
+    ("", Heuristic::Basic, &NMS),
+    ("knapsack_r53_", Heuristic::Knapsack, &[1800]),
+];
+
+/// The `sweep_knapsack` benchmark request: knapsack groupings at R ∈
+/// {25, 53, 99}, fused and unfused, up to two faults, 20 variants per
+/// shape.
+fn knapsack_sweep() -> BatchSpec {
+    let mut spec = BatchSpec::reference_mc(20, 7);
+    spec.heuristic = Heuristic::Knapsack;
+    spec.rs = vec![25, 53, 99];
+    spec.granularities = vec![Granularity::Fused, Granularity::Unfused];
+    spec.max_faults = 2;
+    spec.fault_resolution = 1.0;
+    spec
+}
 
 /// Best-of-N wall-clock of one configuration, with the report of the
 /// last run (the report is identical across repetitions).
@@ -157,90 +183,99 @@ fn main() {
     }
 
     println!("== Engine kernel speedup: fast-forward + calendar queue vs event-by-event ==");
+    println!("instance: NS = {NS}, R = {R} (reference cluster, integral seconds)\n");
     println!(
-        "instance: NS = {NS}, R = {R} (reference cluster, integral seconds); basic 7×7 grouping\n"
-    );
-    println!(
-        "{:>8} {:>9} {:>14} {:>12} {:>9} {:>13} {:>13}",
-        "gran", "NM", "event-by-event", "kernel", "speedup", "main-skipped", "post-skipped"
+        "{:>14} {:>8} {:>9} {:>14} {:>12} {:>9} {:>13} {:>13}",
+        "grouping",
+        "gran",
+        "NM",
+        "event-by-event",
+        "kernel",
+        "speedup",
+        "main-skipped",
+        "post-skipped"
     );
 
     let mut entries: Vec<(String, Value)> = Vec::new();
-    for granularity in [Granularity::Fused, Granularity::Unfused] {
-        for nm in NMS {
-            let inst = Instance::new(NS, nm, R);
-            let grouping = Heuristic::Basic.grouping(inst, &table).expect("feasible");
-            let config = CampaignConfig {
-                policy: ScenarioPolicy::LeastAdvanced,
-                granularity,
-                recovery: Recovery::MonthlyCheckpoint,
-            };
-            let reps = if nm >= 18000 { 3 } else { 7 };
-            let (base, base_rep) = time_config(
-                inst,
-                &table,
-                &grouping,
-                &config,
-                KernelOpts::event_by_event(),
-                reps,
-            );
-            assert_eq!(
-                base_rep,
-                KernelReport::default(),
-                "baseline must not kernel"
-            );
-            let (fast, rep) = time_config(
-                inst,
-                &table,
-                &grouping,
-                &config,
-                KernelOpts::default(),
-                reps,
-            );
-            let speedup = base / fast;
-            // The post-skip column only exists at fused granularity:
-            // the unfused drain replays the recorded chain with no
-            // fast-forward wiring, so its counter is structurally
-            // zero — printing (or recording) it would read as "the
-            // kernel found nothing to skip" when there is nothing to
-            // look for (see DESIGN.md, "Unfused post phase").
-            let fused = granularity == Granularity::Fused;
-            println!(
-                "{:>8} {:>9} {:>13.5}s {:>11.5}s {:>8.2}x {:>13} {:>13}",
-                granularity.label(),
-                nm,
-                base,
-                fast,
-                speedup,
-                rep.main_cycles_skipped,
+    for (prefix, heuristic, nms) in SHAPES {
+        for granularity in [Granularity::Fused, Granularity::Unfused] {
+            for &nm in nms {
+                let inst = Instance::new(NS, nm, R);
+                let grouping = heuristic.grouping(inst, &table).expect("feasible");
+                let config = CampaignConfig {
+                    policy: ScenarioPolicy::LeastAdvanced,
+                    granularity,
+                    recovery: Recovery::MonthlyCheckpoint,
+                };
+                let reps = if nm >= 18000 { 3 } else { 7 };
+                let (base, base_rep) = time_config(
+                    inst,
+                    &table,
+                    &grouping,
+                    &config,
+                    KernelOpts::event_by_event(),
+                    reps,
+                );
+                assert_eq!(
+                    base_rep,
+                    KernelReport::default(),
+                    "baseline must not kernel"
+                );
+                let (fast, rep) = time_config(
+                    inst,
+                    &table,
+                    &grouping,
+                    &config,
+                    KernelOpts::default(),
+                    reps,
+                );
+                let speedup = base / fast;
+                // The post-skip column only exists at fused granularity:
+                // the unfused drain has no fast-forward wiring, so its
+                // counter is structurally zero — printing (or recording)
+                // it would read as "the kernel found nothing to skip" when
+                // there is nothing to look for (see DESIGN.md, "Unfused
+                // post phase").
+                let fused = granularity == Granularity::Fused;
+                println!(
+                    "{:>14} {:>8} {:>9} {:>13.5}s {:>11.5}s {:>8.2}x {:>13} {:>13}",
+                    heuristic.label(),
+                    granularity.label(),
+                    nm,
+                    base,
+                    fast,
+                    speedup,
+                    rep.main_cycles_skipped,
+                    if fused {
+                        rep.post_cycles_skipped.to_string()
+                    } else {
+                        "—".into()
+                    }
+                );
+                let mut fields = vec![
+                    ("heuristic".into(), Value::Str(heuristic.label().into())),
+                    ("granularity".into(), Value::Str(granularity.label().into())),
+                    ("nm".into(), Value::U64(u64::from(nm))),
+                    ("event_by_event_secs".into(), Value::F64(base)),
+                    ("kernel_secs".into(), Value::F64(fast)),
+                    ("speedup".into(), Value::F64(speedup)),
+                    ("integer_time".into(), Value::Bool(rep.integer_time)),
+                    (
+                        "main_cycles_skipped".into(),
+                        Value::U64(rep.main_cycles_skipped),
+                    ),
+                ];
                 if fused {
-                    rep.post_cycles_skipped.to_string()
-                } else {
-                    "—".into()
+                    fields.push((
+                        "post_cycles_skipped".into(),
+                        Value::U64(rep.post_cycles_skipped),
+                    ));
                 }
-            );
-            let mut fields = vec![
-                ("granularity".into(), Value::Str(granularity.label().into())),
-                ("nm".into(), Value::U64(u64::from(nm))),
-                ("event_by_event_secs".into(), Value::F64(base)),
-                ("kernel_secs".into(), Value::F64(fast)),
-                ("speedup".into(), Value::F64(speedup)),
-                ("integer_time".into(), Value::Bool(rep.integer_time)),
-                (
-                    "main_cycles_skipped".into(),
-                    Value::U64(rep.main_cycles_skipped),
-                ),
-            ];
-            if fused {
-                fields.push((
-                    "post_cycles_skipped".into(),
-                    Value::U64(rep.post_cycles_skipped),
+                entries.push((
+                    format!("{prefix}{}_nm{}", granularity.label(), nm),
+                    Value::Object(fields),
                 ));
             }
-            entries.push((
-                format!("{}_nm{}", granularity.label(), nm),
-                Value::Object(fields),
-            ));
         }
     }
 
@@ -336,6 +371,38 @@ fn main() {
                 ]),
             ));
         }
+
+        // The paper's schedules: the `sweep_knapsack` request, where
+        // only the fused integer-time shape can share a head.
+        let spec = knapsack_sweep();
+        let n = spec.variant_count();
+        let (batch_secs, batch) = time_sweep(&spec, &pool, true, 3);
+        let (naive_secs, naive) = time_sweep(&spec, &pool, false, 3);
+        let (bs, ns) = (batch.summary(), naive.summary());
+        assert_eq!(bs.checksum, ns.checksum, "batch/naive outcomes diverge");
+        let speedup = naive_secs / batch_secs;
+        let (ncs, bcs) = (n as f64 / naive_secs, n as f64 / batch_secs);
+        println!(
+            "{:>9} {naive_secs:>10.3}s {batch_secs:>10.3}s {ncs:>13.0} {bcs:>13.0} \
+             {speedup:>8.1}x {:>18}  (knapsack sweep)",
+            n, bs.checksum
+        );
+        entries.push((
+            "batch_knapsack".into(),
+            Value::Object(vec![
+                ("variants".into(), Value::U64(n)),
+                ("shapes".into(), Value::U64(batch.shapes as u64)),
+                ("max_faults".into(), Value::U64(u64::from(spec.max_faults))),
+                ("nm".into(), Value::U64(1800)),
+                ("naive_secs".into(), Value::F64(naive_secs)),
+                ("batch_secs".into(), Value::F64(batch_secs)),
+                ("naive_campaigns_per_sec".into(), Value::F64(ncs)),
+                ("batch_campaigns_per_sec".into(), Value::F64(bcs)),
+                ("speedup".into(), Value::F64(speedup)),
+                ("heads".into(), Value::U64(batch.heads as u64)),
+                ("checksum".into(), Value::Str(bs.checksum)),
+            ]),
+        ));
     }
 
     // Merge by key into the wall-clock history.

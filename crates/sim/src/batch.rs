@@ -719,8 +719,10 @@ fn run_sweep(
                         outcome
                     }
                     None => {
+                        // The buffer moves into the plan and back, so
+                        // its capacity survives to the next variant.
                         let plan = FaultPlan {
-                            failures: buf.clone(),
+                            failures: std::mem::take(buf),
                         };
                         let mut tracer = NullTracer;
                         let (outcome, _) = simulate_campaign_kernel(
@@ -733,6 +735,7 @@ fn run_sweep(
                             &mut tracer,
                         )
                         .expect("expand_shapes validated the grouping");
+                        *buf = plan.failures;
                         outcome
                     }
                 };

@@ -133,19 +133,18 @@ pub use crate::ffwd::{KernelOpts, KernelReport};
 /// Post-chain step kinds at unfused granularity, in chain order.
 const STEP_KINDS: [TaskKind; 3] = [TaskKind::Cof, TaskKind::Emf, TaskKind::Cd];
 
-/// The post model for one granularity: step durations, the pre rescale
-/// folded into the group span, and the index of the last chain step.
-/// Fused runs one `tp` step; unfused runs the Figure 1 chain with the
-/// constants rescaled by the table's post/180 cluster-speed ratio.
-fn post_model(granularity: Granularity, tp: f64) -> ([f64; 3], f64, u8) {
+/// The post model for one granularity: step durations and the pre
+/// rescale folded into the group span. Fused runs one `tp` step;
+/// unfused runs the Figure 1 chain with the constants rescaled by the
+/// table's post/180 cluster-speed ratio.
+fn post_model(granularity: Granularity, tp: f64) -> ([f64; 3], f64) {
     match granularity {
-        Granularity::Fused => ([tp, 0.0, 0.0], 0.0, 0),
+        Granularity::Fused => ([tp, 0.0, 0.0], 0.0),
         Granularity::Unfused => {
             let speed = tp / FUSED_POST_SECS;
             (
                 [COF_SECS * speed, EMF_SECS * speed, CD_SECS * speed],
                 FUSED_PRE_SECS * speed,
-                2,
             )
         }
     }
@@ -220,7 +219,7 @@ pub fn kernel_eligibility(
     config: &CampaignConfig,
     plan: &FaultPlan,
 ) -> bool {
-    let (steps, pre, _) = post_model(config.granularity, table.post_secs());
+    let (steps, pre) = post_model(config.granularity, table.post_secs());
     let mut durs = Vec::with_capacity(grouping.group_count());
     push_durs(
         &mut durs,
@@ -321,12 +320,6 @@ fn emit_failure<T: Tracer>(tracer: &mut T, failure: (usize, f64), impact: Option
     }
 }
 
-/// One ready post-chain step at unfused granularity, min-heap keyed:
-/// the ready instant, then `(step index within the month's chain,
-/// insertion sequence, scenario, month)` as the deterministic
-/// tie-break.
-type ChainKey = TimeKey<(u8, u64, u32, u32)>;
-
 /// The busy set — `(finish time, group)` in pop order — in either of
 /// its two representations. The calendar queue is used whenever the
 /// run qualifies for integer time; the pop sequence is identical
@@ -380,24 +373,101 @@ impl Busy<'_> {
     }
 }
 
-/// The ready post work, in the representation its pop order allows.
-/// Fused main completions are chronological and the legacy heap key
-/// broke ties by insertion sequence, so the fused drain is exactly a
-/// FIFO — a ring buffer replaces the heap bitwise-identically. The
-/// unfused chain re-enters steps at out-of-order ready times and keeps
-/// the heap.
-enum Chain<'a> {
-    /// Fused: `(finish time, scenario, month)` in push order.
-    Fifo(&'a mut VecDeque<(f64, u32, u32)>),
-    /// Unfused: ready steps keyed for earliest-ready-first.
-    Heap(&'a mut BinaryHeap<ChainKey>),
+/// Records one post step on a single pool processor: its start and
+/// its finish.
+fn emit_post<T: Tracer>(tracer: &mut T, task: FusedTask, proc: u32, start: f64, end: f64) {
+    if !tracer.enabled() {
+        return;
+    }
+    tracer.record(TraceEvent::at(
+        start,
+        EventKind::TaskStart {
+            task,
+            first_proc: proc,
+            procs: 1,
+            group: None,
+        },
+    ));
+    tracer.record(TraceEvent::at(
+        end,
+        EventKind::TaskFinish {
+            task,
+            first_proc: proc,
+            procs: 1,
+            group: None,
+            secs: end - start,
+        },
+    ));
 }
 
-impl Chain<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Chain::Fifo(f) => f.len(),
-            Chain::Heap(h) => h.len(),
+/// The unfused post drain: each ready `cof → emf → cd` step takes the
+/// earliest-available pool processor, earliest-ready first, ties broken
+/// by step index, then by generation order. `step0` holds the `cof`
+/// steps (the main completions); `levels` collects the `emf` and `cd`
+/// steps as they are generated. Every level is sorted by ready time in
+/// generation order, so each pop is a three-way merge of the fronts:
+///
+/// * step 0 is chronological — main completions are (the fused FIFO
+///   drain relies on the same fact);
+/// * popped ready times never decrease, nor do popped availabilities
+///   (a processor returns at `end ≥ avail`), so `start = max(avail,
+///   ready)` never decreases, and neither — f64 addition being
+///   monotone — does `start + steps[k]` within one level.
+///
+/// The pop order is therefore exactly that of a min-heap keyed by
+/// `(ready, step, insertion sequence)`. `emit(task, proc, start, end)`
+/// sees every step in pop order. Returns the last `cd` finish.
+fn drain_unfused(
+    step0: &[(f64, u32, u32)],
+    levels: &mut [Vec<(f64, u32, u32)>; 2],
+    pool: &mut BinaryHeap<TimeKey<u32>>,
+    steps: [f64; 3],
+    mut emit: impl FnMut(FusedTask, u32, f64, f64),
+) -> f64 {
+    for level in levels.iter_mut() {
+        level.clear();
+        level.reserve(step0.len());
+    }
+    let mut cursor = [0usize; 3];
+    let mut post_finish = 0.0f64;
+    loop {
+        let fronts = [
+            step0.get(cursor[0]),
+            levels[0].get(cursor[1]),
+            levels[1].get(cursor[2]),
+        ];
+        // Strictly smaller wins, so a tie goes to the lower step.
+        let mut pick: Option<(usize, (f64, u32, u32))> = None;
+        for (k, front) in fronts.into_iter().enumerate() {
+            if let Some(&e) = front {
+                if pick.is_none_or(|(_, p)| e.0.total_cmp(&p.0).is_lt()) {
+                    pick = Some((k, e));
+                }
+            }
+        }
+        let Some((k, (ready, s, month))) = pick else {
+            return post_finish;
+        };
+        cursor[k] += 1;
+        let Reverse((Time(avail), proc)) = pool.pop().expect("pool non-empty");
+        let start = if avail > ready { avail } else { ready };
+        let end = start + steps[k];
+        pool.push(time_key(end, proc));
+        let task = FusedTask {
+            scenario: s,
+            month,
+            kind: STEP_KINDS[k],
+        };
+        emit(task, proc, start, end);
+        if let Some(next) = levels.get_mut(k) {
+            debug_assert!(
+                next.last().is_none_or(|l| l.0 <= end),
+                "step {} out of order",
+                k + 1
+            );
+            next.push((end, s, month));
+        } else {
+            post_finish = post_finish.max(end);
         }
     }
 }
@@ -552,11 +622,11 @@ struct Scratch {
     idle: Vec<usize>,
     /// `dead[g]`: group `g` crashed and never returns.
     dead: Vec<bool>,
-    /// Ready post work, unfused representation. The insertion counter
-    /// `seq` makes heap order deterministic.
-    chain_heap: BinaryHeap<ChainKey>,
-    /// Ready post work, fused representation (push order == pop order).
+    /// Main completions `(finish time, scenario, month)` in push order:
+    /// the fused post work, and the unfused chain's step 0.
     chain_fifo: VecDeque<(f64, u32, u32)>,
+    /// Unfused drain: the generated `emf` and `cd` steps.
+    chain_steps: [Vec<(f64, u32, u32)>; 2],
     /// Post-processor pool: (availability, processor id).
     post_pool: BinaryHeap<TimeKey<u32>>,
     /// Steady-state cycle detector (snapshots + event journal).
@@ -596,8 +666,8 @@ impl Default for Scratch {
             months_done: Vec::new(),
             idle: Vec::new(),
             dead: Vec::new(),
-            chain_heap: BinaryHeap::new(),
             chain_fifo: VecDeque::new(),
+            chain_steps: [Vec::new(), Vec::new()],
             post_pool: BinaryHeap::new(),
             det: Detector::default(),
             snap_busy: Vec::new(),
@@ -813,7 +883,7 @@ fn run<T: Tracer>(
     let tp = table.post_secs();
     let nm = inst.nm;
 
-    let (steps, pre, last_step) = post_model(config.granularity, tp);
+    let (steps, pre) = post_model(config.granularity, tp);
 
     let Scratch {
         durs,
@@ -825,8 +895,8 @@ fn run<T: Tracer>(
         months_done,
         idle,
         dead,
-        chain_heap,
         chain_fifo,
+        chain_steps,
         post_pool,
         det,
         snap_busy,
@@ -928,19 +998,9 @@ fn run<T: Tracer>(
     dead.clear();
     dead.resize(sizes.len(), false);
 
-    let mut seq: u64 = 0;
-    let mut chain = match config.granularity {
-        Granularity::Fused => {
-            chain_fifo.clear();
-            chain_fifo.reserve(inst.nbtasks() as usize);
-            Chain::Fifo(chain_fifo)
-        }
-        Granularity::Unfused => {
-            chain_heap.clear();
-            chain_heap.reserve(inst.nbtasks() as usize);
-            Chain::Heap(chain_heap)
-        }
-    };
+    let chain = chain_fifo;
+    chain.clear();
+    chain.reserve(inst.nbtasks() as usize);
     post_pool.clear();
     post_pool.reserve(inst.r as usize);
     for p in 0..grouping.post_procs {
@@ -1200,13 +1260,8 @@ fn run<T: Tracer>(
                         group: Some(g as u32),
                     });
                 }
-                match &mut chain {
-                    Chain::Fifo(f) => f.push_back((t, s, month)),
-                    Chain::Heap(h) => {
-                        h.push(time_key(t, (0, seq, s, month)));
-                        seq += 1;
-                    }
-                }
+                debug_assert!(chain.back().is_none_or(|b| b.0 <= t), "step 0 out of order");
+                chain.push_back((t, s, month));
                 if ff_on && det.armed() {
                     det.log.push(LogEv::Finish {
                         t,
@@ -1311,13 +1366,8 @@ fn run<T: Tracer>(
                                                 group: Some(eg as u32),
                                             });
                                         }
-                                        match &mut chain {
-                                            Chain::Fifo(f) => f.push_back((t2, es, m2)),
-                                            Chain::Heap(h) => {
-                                                h.push(time_key(t2, (0, seq, es, m2)));
-                                                seq += 1;
-                                            }
-                                        }
+                                        debug_assert!(chain.back().is_none_or(|b| b.0 <= t2));
+                                        chain.push_back((t2, es, m2));
                                         if tracer.enabled() {
                                             tracer.record(TraceEvent::at(
                                                 t2,
@@ -1418,15 +1468,15 @@ fn run<T: Tracer>(
         stranded!();
     }
     let mut post_finish = 0.0f64;
-    match chain {
-        Chain::Fifo(fifo) => {
+    let tail: &[(f64, u32, u32)] = chain.make_contiguous();
+    match config.granularity {
+        Granularity::Fused => {
             // Fused drain, with its own steady-state fast-forward: the
             // main-phase replay hands over the periodic chain region,
             // and once the pool shape recurs at a cycle boundary
             // (relative to the boundary instant, bitwise), the drain
             // stamps whole cycles from the template. Sound only when
             // the post duration is integral too.
-            let tail: &[(f64, u32, u32)] = fifo.make_contiguous();
             if let Some(head) = capture.as_deref_mut() {
                 head.chain.clear();
                 head.chain.extend_from_slice(tail);
@@ -1608,27 +1658,7 @@ fn run<T: Tracer>(
                                                         group: None,
                                                     });
                                                 }
-                                                if tracer.enabled() {
-                                                    tracer.record(TraceEvent::at(
-                                                        start,
-                                                        EventKind::TaskStart {
-                                                            task,
-                                                            first_proc: proc,
-                                                            procs: 1,
-                                                            group: None,
-                                                        },
-                                                    ));
-                                                    tracer.record(TraceEvent::at(
-                                                        end,
-                                                        EventKind::TaskFinish {
-                                                            task,
-                                                            first_proc: proc,
-                                                            procs: 1,
-                                                            group: None,
-                                                            secs: end - start,
-                                                        },
-                                                    ));
-                                                }
+                                                emit_post(tracer, task, proc, start, end);
                                                 if end > post_finish {
                                                     post_finish = end;
                                                 }
@@ -1692,27 +1722,7 @@ fn run<T: Tracer>(
                         group: None,
                     });
                 }
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::at(
-                        start,
-                        EventKind::TaskStart {
-                            task,
-                            first_proc: proc,
-                            procs: 1,
-                            group: None,
-                        },
-                    ));
-                    tracer.record(TraceEvent::at(
-                        end,
-                        EventKind::TaskFinish {
-                            task,
-                            first_proc: proc,
-                            procs: 1,
-                            group: None,
-                            secs: end - start,
-                        },
-                    ));
-                }
+                emit_post(tracer, task, proc, start, end);
                 if end > post_finish {
                     post_finish = end;
                 }
@@ -1721,48 +1731,18 @@ fn run<T: Tracer>(
             // The final checkpoint sits at the end of the chain.
             capture_dck!();
         }
-        Chain::Heap(heap) => {
-            // Unfused drain: steps re-enter the chain at out-of-order
-            // ready times, so the heap (and event-by-event processing)
-            // stays.
-            while let Some(Reverse((Time(ready), (step, _, s, month)))) = heap.pop() {
-                let Reverse((Time(avail), proc)) = post_pool.pop().expect("pool non-empty");
-                let start = if avail > ready { avail } else { ready };
-                let end = start + steps[step as usize];
-                post_pool.push(time_key(end, proc));
-                let task = FusedTask {
-                    scenario: s,
-                    month,
-                    kind: STEP_KINDS[step as usize],
-                };
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::at(
-                        start,
-                        EventKind::TaskStart {
-                            task,
-                            first_proc: proc,
-                            procs: 1,
-                            group: None,
-                        },
-                    ));
-                    tracer.record(TraceEvent::at(
-                        end,
-                        EventKind::TaskFinish {
-                            task,
-                            first_proc: proc,
-                            procs: 1,
-                            group: None,
-                            secs: end - start,
-                        },
-                    ));
-                }
-                if step < last_step {
-                    heap.push(time_key(end, (step + 1, seq, s, month)));
-                    seq += 1;
-                } else {
-                    post_finish = post_finish.max(end);
-                }
-            }
+        Granularity::Unfused => {
+            // Unfused drain: three sorted step queues merged by ready
+            // time (see `drain_unfused`). Batch heads are fused-only,
+            // so the chain has no borrowed prefix here.
+            debug_assert!(head_prefix.is_empty(), "unfused runs never resume");
+            post_finish = drain_unfused(
+                tail,
+                chain_steps,
+                post_pool,
+                steps,
+                |task, proc, start, end| emit_post(tracer, task, proc, start, end),
+            );
         }
     }
 
@@ -2216,5 +2196,146 @@ mod tests {
             &FaultPlan::none().kill(9, 1.0),
             Recovery::MonthlyCheckpoint,
         );
+    }
+}
+
+/// Differential test of the unfused drain: the three-queue merge in
+/// [`drain_unfused`] against the binary-heap drain it replaced, kept
+/// here as the oracle. Every emitted step — kind, scenario, month,
+/// processor, start and end bits — and the returned `post_finish` bits
+/// must agree, as must the pool left behind. Release builds run 256
+/// cases (CI's differential job), debug builds fewer.
+#[cfg(test)]
+mod drain_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    const CASES: u32 = if cfg!(debug_assertions) { 32 } else { 256 };
+
+    /// `(kind, scenario, month, proc, start bits, end bits)`.
+    type Step = (TaskKind, u32, u32, u32, u64, u64);
+
+    /// The heap drain: every ready step keyed by `(ready, step,
+    /// insertion sequence, scenario, month)`, popped earliest first.
+    fn drain_heap(
+        step0: &[(f64, u32, u32)],
+        pool: &mut BinaryHeap<TimeKey<u32>>,
+        steps: [f64; 3],
+        mut emit: impl FnMut(FusedTask, u32, f64, f64),
+    ) -> f64 {
+        let mut heap: BinaryHeap<TimeKey<(u8, u64, u32, u32)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        for &(t, s, month) in step0 {
+            heap.push(time_key(t, (0, seq, s, month)));
+            seq += 1;
+        }
+        let mut post_finish = 0.0f64;
+        while let Some(Reverse((Time(ready), (step, _, s, month)))) = heap.pop() {
+            let Reverse((Time(avail), proc)) = pool.pop().expect("pool non-empty");
+            let start = if avail > ready { avail } else { ready };
+            let end = start + steps[step as usize];
+            pool.push(time_key(end, proc));
+            let kind = STEP_KINDS[step as usize];
+            emit(
+                FusedTask {
+                    scenario: s,
+                    month,
+                    kind,
+                },
+                proc,
+                start,
+                end,
+            );
+            if step < 2 {
+                heap.push(time_key(end, (step + 1, seq, s, month)));
+                seq += 1;
+            } else {
+                post_finish = post_finish.max(end);
+            }
+        }
+        post_finish
+    }
+
+    /// One drain input: the step-0 chain, the pool's `(availability,
+    /// processor)` entries and the three step durations.
+    type Input = (Vec<(f64, u32, u32)>, Vec<(f64, u32)>, [f64; 3]);
+
+    /// Tie-heavy inputs: ready times advance by 0–3 units (0 is a tie),
+    /// 1–120 processors share at most four availabilities, and the step
+    /// durations are integral (zero included), thirds, or the Figure 1
+    /// constants at a fractional cluster speed.
+    fn arb_input() -> impl Strategy<Value = Input> {
+        (
+            (proptest::collection::vec(0u32..4, 0..160), 1u32..60),
+            (
+                1u32..=120,
+                0u32..4,
+                proptest::collection::vec(0u32..1000, 120),
+            ),
+            (proptest::collection::vec(0u32..400, 3), 0u32..3),
+        )
+            .prop_map(|((incs, unit), (n, spread, seeds), (raw, lattice))| {
+                let unit = f64::from(unit);
+                let mut ready = 0.0f64;
+                let step0 = incs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &inc)| {
+                        ready += f64::from(inc) * unit;
+                        (ready, i as u32 % 7, i as u32 / 7)
+                    })
+                    .collect();
+                let pool = (0..n)
+                    .map(|p| (f64::from(seeds[p as usize] % (spread + 1)) * 5.0 * unit, p))
+                    .collect();
+                let d = |k: usize| f64::from(raw[k]);
+                let steps = match lattice {
+                    0 => [d(0), d(1), d(2)],
+                    1 => [d(0) / 3.0, d(1) / 3.0, d(2) / 3.0],
+                    _ => {
+                        let speed = (d(0) + 1.0) / 173.0;
+                        [COF_SECS * speed, EMF_SECS * speed, CD_SECS * speed]
+                    }
+                };
+                (step0, pool, steps)
+            })
+    }
+
+    fn heap_of(pool: &[(f64, u32)]) -> BinaryHeap<TimeKey<u32>> {
+        pool.iter().map(|&(a, p)| time_key(a, p)).collect()
+    }
+
+    fn bits_of(pool: BinaryHeap<TimeKey<u32>>) -> Vec<(u64, u32)> {
+        let mut left: Vec<(u64, u32)> = pool
+            .into_iter()
+            .map(|Reverse((Time(a), p))| (a.to_bits(), p))
+            .collect();
+        left.sort_unstable();
+        left
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn three_queue_drain_matches_the_heap_drain((step0, pool, steps) in arb_input()) {
+            let record = |out: &mut Vec<Step>, task: FusedTask, proc: u32, start: f64, end: f64| {
+                out.push((task.kind, task.scenario, task.month, proc, start.to_bits(), end.to_bits()));
+            };
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            let mut heap_pool = heap_of(&pool);
+            let want_finish = drain_heap(&step0, &mut heap_pool, steps, |t, p, s, e| {
+                record(&mut want, t, p, s, e);
+            });
+            let mut queue_pool = heap_of(&pool);
+            let mut levels = [Vec::new(), Vec::new()];
+            let got_finish = drain_unfused(&step0, &mut levels, &mut queue_pool, steps, |t, p, s, e| {
+                record(&mut got, t, p, s, e);
+            });
+            prop_assert_eq!(want.len(), 3 * step0.len());
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(got_finish.to_bits(), want_finish.to_bits());
+            prop_assert_eq!(bits_of(queue_pool), bits_of(heap_pool));
+        }
     }
 }

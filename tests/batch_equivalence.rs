@@ -123,6 +123,37 @@ fn individual_rows(spec: &BatchSpec) -> Vec<VariantOut> {
     rows
 }
 
+/// The `sweep_knapsack` benchmark request: the paper's knapsack
+/// groupings at R ∈ {25, 53, 99}, fused and unfused, up to two faults
+/// per variant.
+fn knapsack_sweep_spec() -> BatchSpec {
+    let mut spec = BatchSpec::reference_mc(20, 7);
+    spec.heuristic = Heuristic::Knapsack;
+    spec.rs = vec![25, 53, 99];
+    spec.granularities = vec![Granularity::Fused, Granularity::Unfused];
+    spec.max_faults = 2;
+    spec.fault_resolution = 1.0;
+    spec
+}
+
+/// Golden checksums of the knapsack sweep and of its unfused half on a
+/// fractional fault lattice. The knapsack groupings give every
+/// processor to a main-task group, so the unfused shapes drain all
+/// their post steps after the main phase: these pin the unfused
+/// drain's pop order across changes to its queues.
+#[test]
+fn knapsack_sweep_checksums_are_pinned() {
+    let pool = Pool::new(2);
+    let spec = knapsack_sweep_spec();
+    let naive = run_naive(&spec, &pool).expect("feasible");
+    assert_eq!(naive.summary().checksum, "2c6524d301fd2c11");
+    let mut unfused = spec;
+    unfused.granularities = vec![Granularity::Unfused];
+    unfused.fault_resolution = 0.25;
+    let naive = run_naive(&unfused, &pool).expect("feasible");
+    assert_eq!(naive.summary().checksum, "c533cfa2e33d8a42");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
