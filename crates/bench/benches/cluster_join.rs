@@ -16,7 +16,7 @@ use std::hint::black_box;
 use oa_par::Pool;
 use oa_platform::cluster::ClusterId;
 use oa_platform::presets::reference_cluster;
-use oa_sched::hetero::performance_vector_with;
+use oa_sched::hetero::performance_vector;
 use oa_sched::heuristics::Heuristic;
 use oa_sched::memo::PlanMemo;
 
@@ -30,14 +30,13 @@ fn bench_cluster_join(c: &mut Criterion) {
     for capacity in [384u32, 1536] {
         group.bench_with_input(BenchmarkId::new("cold", capacity), &capacity, |b, &cap| {
             b.iter(|| {
-                black_box(performance_vector_with(
+                black_box(performance_vector(
                     ClusterId(0),
                     R,
                     &table,
                     Heuristic::Knapsack,
                     cap,
                     PLANNING_NM,
-                    &pool,
                 ));
             });
         });

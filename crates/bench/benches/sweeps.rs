@@ -63,15 +63,8 @@ fn bench_knapsack_search(c: &mut Criterion) {
     c.bench_function("sweeps/knapsack_search_r97", |b| {
         b.iter(|| black_box(Heuristic::Knapsack.makespan(inst, &table).unwrap()));
     });
-    let pool = Pool::new(oa_par::available_jobs());
-    c.bench_function("sweeps/balanced_search_r97_par", |b| {
-        b.iter(|| {
-            black_box(
-                Heuristic::Balanced
-                    .makespan_with(inst, &table, &pool)
-                    .unwrap(),
-            )
-        });
+    c.bench_function("sweeps/balanced_search_r97", |b| {
+        b.iter(|| black_box(Heuristic::Balanced.makespan(inst, &table).unwrap()));
     });
 }
 

@@ -10,6 +10,12 @@
 //! (wall-clock history, like `BENCH_sweeps.json`: re-running a
 //! configuration replaces its entry and leaves the others).
 //!
+//! The two sides of every comparison run alternately, one of each per
+//! pair, so host drift lands on both. Each row records the best-of-N
+//! seconds of both sides, their ratio (`speedup`) and the median of
+//! the per-pair ratios (`speedup_median_pair`), which a slow stretch
+//! on a shared host moves far less.
+//!
 //! Run: `cargo run --release -p oa-bench --bin engine_kernel [--smoke]`
 //!
 //! `--smoke` is the CI gate: the NM = 18000 fused point only, asserting
@@ -68,61 +74,92 @@ fn knapsack_sweep() -> BatchSpec {
     spec
 }
 
-/// Best-of-N wall-clock of one configuration, with the report of the
-/// last run (the report is identical across repetitions).
-fn time_config(
+/// One run of `inst` under `opts`, with its wall-clock seconds and
+/// kernel report.
+fn run_config(
     inst: Instance,
     table: &oa_platform::timing::TimingTable,
     grouping: &oa_sched::grouping::Grouping,
     config: &CampaignConfig,
     opts: KernelOpts,
-    reps: usize,
 ) -> (f64, KernelReport) {
-    let mut best = f64::INFINITY;
-    let mut report = KernelReport::default();
-    for _ in 0..reps {
-        let t = Instant::now();
-        let (out, rep) = simulate_campaign_kernel(
-            inst,
-            table,
-            grouping,
-            config,
-            &FaultPlan::none(),
-            opts,
-            &mut NullTracer,
-        )
-        .expect("valid grouping");
-        let secs = t.elapsed().as_secs_f64();
-        assert!(out.completed().is_some(), "fault-free runs complete");
-        std::hint::black_box(&out);
-        best = best.min(secs);
-        report = rep;
-    }
-    (best, report)
+    let t = Instant::now();
+    let (out, rep) = simulate_campaign_kernel(
+        inst,
+        table,
+        grouping,
+        config,
+        &FaultPlan::none(),
+        opts,
+        &mut NullTracer,
+    )
+    .expect("valid grouping");
+    let secs = t.elapsed().as_secs_f64();
+    assert!(out.completed().is_some(), "fault-free runs complete");
+    std::hint::black_box(&out);
+    (secs, rep)
 }
 
-/// Best-of-N wall-clock of one sweep; the returned report is the last
-/// run's (identical across repetitions — the sweep is deterministic).
-fn time_sweep(
+/// One sweep, sharing heads or naive, with its wall-clock seconds.
+fn run_sweep(
     spec: &BatchSpec,
     pool: &oa_par::Pool,
     share: bool,
-    reps: usize,
 ) -> (f64, oa_sim::batch::BatchReport) {
-    let mut best = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let rep = if share {
-            run_batch(spec, pool)
-        } else {
-            run_naive(spec, pool)
-        }
-        .expect("reference sweeps are valid");
-        best = best.min(t.elapsed().as_secs_f64());
-        report = Some(rep);
+    let t = Instant::now();
+    let rep = if share {
+        run_batch(spec, pool)
+    } else {
+        run_naive(spec, pool)
     }
-    (best, report.expect("reps >= 1"))
+    .expect("reference sweeps are valid");
+    (t.elapsed().as_secs_f64(), rep)
+}
+
+/// What [`paired`] measured.
+struct Paired<A, B> {
+    base_secs: f64,
+    fast_secs: f64,
+    median_ratio: f64,
+    base: A,
+    fast: B,
+}
+
+/// Times a baseline against a fast path over `reps` pairs, the two run
+/// back to back in each pair: best-of-N seconds of each side, the median
+/// per-pair `base / fast` ratio, and each side's output from the last
+/// pair (identical across pairs: every run is deterministic).
+fn paired<A, B>(
+    reps: usize,
+    mut base: impl FnMut() -> (f64, A),
+    mut fast: impl FnMut() -> (f64, B),
+) -> Paired<A, B> {
+    let (mut base_secs, mut fast_secs) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(reps);
+    let mut last = None;
+    for _ in 0..reps {
+        let (b, base_out) = base();
+        let (f, fast_out) = fast();
+        base_secs = base_secs.min(b);
+        fast_secs = fast_secs.min(f);
+        ratios.push(b / f);
+        last = Some((base_out, fast_out));
+    }
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    let median_ratio = if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    };
+    let (base, fast) = last.expect("reps >= 1");
+    Paired {
+        base_secs,
+        fast_secs,
+        median_ratio,
+        base,
+        fast,
+    }
 }
 
 fn main() {
@@ -136,8 +173,8 @@ fn main() {
         // loop bitwise and beat it clearly, even on a loaded runner.
         let spec = BatchSpec::reference_mc(2_000, 42);
         let pool = oa_par::Pool::serial();
-        let (batch_secs, batch) = time_sweep(&spec, &pool, true, 1);
-        let (naive_secs, naive) = time_sweep(&spec, &pool, false, 1);
+        let (batch_secs, batch) = run_sweep(&spec, &pool, true);
+        let (naive_secs, naive) = run_sweep(&spec, &pool, false);
         let (bs, ns) = (batch.summary(), naive.summary());
         assert_eq!(bs.checksum, ns.checksum, "batch/naive outcomes diverge");
         assert_eq!(batch.heads, 1, "the reference shape must share a head");
@@ -161,8 +198,10 @@ fn main() {
         let grouping = Heuristic::Basic.grouping(inst, &table).expect("feasible");
         let config = CampaignConfig::default();
         let t = Instant::now();
-        let (secs, report) =
-            time_config(inst, &table, &grouping, &config, KernelOpts::default(), 3);
+        let (secs, report) = (0..3)
+            .map(|_| run_config(inst, &table, &grouping, &config, KernelOpts::default()))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .expect("three runs");
         assert!(
             report.integer_time,
             "reference cluster must take the integer-time path"
@@ -185,13 +224,14 @@ fn main() {
     println!("== Engine kernel speedup: fast-forward + calendar queue vs event-by-event ==");
     println!("instance: NS = {NS}, R = {R} (reference cluster, integral seconds)\n");
     println!(
-        "{:>14} {:>8} {:>9} {:>14} {:>12} {:>9} {:>13} {:>13}",
+        "{:>14} {:>8} {:>9} {:>14} {:>12} {:>9} {:>9} {:>13} {:>13}",
         "grouping",
         "gran",
         "NM",
         "event-by-event",
         "kernel",
         "speedup",
+        "pair-med",
         "main-skipped",
         "post-skipped"
     );
@@ -208,27 +248,18 @@ fn main() {
                     recovery: Recovery::MonthlyCheckpoint,
                 };
                 let reps = if nm >= 18000 { 3 } else { 7 };
-                let (base, base_rep) = time_config(
-                    inst,
-                    &table,
-                    &grouping,
-                    &config,
-                    KernelOpts::event_by_event(),
+                let run = |opts| run_config(inst, &table, &grouping, &config, opts);
+                let timed = paired(
                     reps,
+                    || run(KernelOpts::event_by_event()),
+                    || run(KernelOpts::default()),
                 );
                 assert_eq!(
-                    base_rep,
+                    timed.base,
                     KernelReport::default(),
                     "baseline must not kernel"
                 );
-                let (fast, rep) = time_config(
-                    inst,
-                    &table,
-                    &grouping,
-                    &config,
-                    KernelOpts::default(),
-                    reps,
-                );
+                let (base, fast, rep) = (timed.base_secs, timed.fast_secs, timed.fast);
                 let speedup = base / fast;
                 // The post-skip column only exists at fused granularity:
                 // the unfused drain has no fast-forward wiring, so its
@@ -238,13 +269,14 @@ fn main() {
                 // post phase").
                 let fused = granularity == Granularity::Fused;
                 println!(
-                    "{:>14} {:>8} {:>9} {:>13.5}s {:>11.5}s {:>8.2}x {:>13} {:>13}",
+                    "{:>14} {:>8} {:>9} {:>13.5}s {:>11.5}s {:>8.2}x {:>8.2}x {:>13} {:>13}",
                     heuristic.label(),
                     granularity.label(),
                     nm,
                     base,
                     fast,
                     speedup,
+                    timed.median_ratio,
                     rep.main_cycles_skipped,
                     if fused {
                         rep.post_cycles_skipped.to_string()
@@ -259,6 +291,7 @@ fn main() {
                     ("event_by_event_secs".into(), Value::F64(base)),
                     ("kernel_secs".into(), Value::F64(fast)),
                     ("speedup".into(), Value::F64(speedup)),
+                    ("speedup_median_pair".into(), Value::F64(timed.median_ratio)),
                     ("integer_time".into(), Value::Bool(rep.integer_time)),
                     (
                         "main_cycles_skipped".into(),
@@ -333,76 +366,67 @@ fn main() {
     {
         println!("\n== Mass-batch variant engine: campaigns/sec vs the naive loop (one core) ==");
         println!(
-            "{:>9} {:>11} {:>11} {:>13} {:>13} {:>9} {:>18}",
-            "variants", "naive", "batch", "naive c/s", "batch c/s", "speedup", "checksum"
+            "{:>14} {:>9} {:>11} {:>11} {:>13} {:>13} {:>9} {:>9} {:>18}",
+            "sweep",
+            "variants",
+            "naive",
+            "batch",
+            "naive c/s",
+            "batch c/s",
+            "speedup",
+            "pair-med",
+            "checksum"
         );
         let pool = oa_par::Pool::serial();
         let mut counts = vec![1_000u64, 10_000];
         if big {
             counts.push(100_000);
         }
-        for n in counts {
-            let spec = BatchSpec::reference_mc(n, 42);
-            let reps = if n >= 10_000 { 1 } else { 3 };
-            let (batch_secs, batch) = time_sweep(&spec, &pool, true, reps);
-            let (naive_secs, naive) = time_sweep(&spec, &pool, false, reps);
-            let (bs, ns) = (batch.summary(), naive.summary());
+        let mut sweeps: Vec<(String, BatchSpec, usize)> = counts
+            .into_iter()
+            .map(|n| {
+                let reps = if n >= 10_000 { 1 } else { 3 };
+                (format!("batch_mc{n}"), BatchSpec::reference_mc(n, 42), reps)
+            })
+            .collect();
+        // The paper's schedules: the `sweep_knapsack` request, where
+        // only the fused integer-time shape can share a head.
+        sweeps.push(("batch_knapsack".into(), knapsack_sweep(), 3));
+        for (key, spec, reps) in sweeps {
+            let n = spec.variant_count();
+            let timed = paired(
+                reps,
+                || run_sweep(&spec, &pool, false),
+                || run_sweep(&spec, &pool, true),
+            );
+            let (naive_secs, batch_secs) = (timed.base_secs, timed.fast_secs);
+            let (bs, ns) = (timed.fast.summary(), timed.base.summary());
             assert_eq!(bs.checksum, ns.checksum, "batch/naive outcomes diverge");
             let speedup = naive_secs / batch_secs;
             let (ncs, bcs) = (n as f64 / naive_secs, n as f64 / batch_secs);
             println!(
-                "{n:>9} {naive_secs:>10.3}s {batch_secs:>10.3}s {ncs:>13.0} {bcs:>13.0} \
-                 {speedup:>8.1}x {:>18}",
-                bs.checksum
+                "{key:>14} {n:>9} {naive_secs:>10.3}s {batch_secs:>10.3}s {ncs:>13.0} {bcs:>13.0} \
+                 {speedup:>8.1}x {:>8.1}x {:>18}",
+                timed.median_ratio, bs.checksum
             );
             entries.push((
-                format!("batch_mc{n}"),
+                key,
                 Value::Object(vec![
                     ("variants".into(), Value::U64(n)),
-                    ("max_faults".into(), Value::U64(1)),
+                    ("shapes".into(), Value::U64(timed.fast.shapes as u64)),
+                    ("max_faults".into(), Value::U64(u64::from(spec.max_faults))),
                     ("nm".into(), Value::U64(1800)),
                     ("naive_secs".into(), Value::F64(naive_secs)),
                     ("batch_secs".into(), Value::F64(batch_secs)),
                     ("naive_campaigns_per_sec".into(), Value::F64(ncs)),
                     ("batch_campaigns_per_sec".into(), Value::F64(bcs)),
                     ("speedup".into(), Value::F64(speedup)),
-                    ("heads".into(), Value::U64(batch.heads as u64)),
+                    ("speedup_median_pair".into(), Value::F64(timed.median_ratio)),
+                    ("heads".into(), Value::U64(timed.fast.heads as u64)),
                     ("checksum".into(), Value::Str(bs.checksum)),
                 ]),
             ));
         }
-
-        // The paper's schedules: the `sweep_knapsack` request, where
-        // only the fused integer-time shape can share a head.
-        let spec = knapsack_sweep();
-        let n = spec.variant_count();
-        let (batch_secs, batch) = time_sweep(&spec, &pool, true, 3);
-        let (naive_secs, naive) = time_sweep(&spec, &pool, false, 3);
-        let (bs, ns) = (batch.summary(), naive.summary());
-        assert_eq!(bs.checksum, ns.checksum, "batch/naive outcomes diverge");
-        let speedup = naive_secs / batch_secs;
-        let (ncs, bcs) = (n as f64 / naive_secs, n as f64 / batch_secs);
-        println!(
-            "{:>9} {naive_secs:>10.3}s {batch_secs:>10.3}s {ncs:>13.0} {bcs:>13.0} \
-             {speedup:>8.1}x {:>18}  (knapsack sweep)",
-            n, bs.checksum
-        );
-        entries.push((
-            "batch_knapsack".into(),
-            Value::Object(vec![
-                ("variants".into(), Value::U64(n)),
-                ("shapes".into(), Value::U64(batch.shapes as u64)),
-                ("max_faults".into(), Value::U64(u64::from(spec.max_faults))),
-                ("nm".into(), Value::U64(1800)),
-                ("naive_secs".into(), Value::F64(naive_secs)),
-                ("batch_secs".into(), Value::F64(batch_secs)),
-                ("naive_campaigns_per_sec".into(), Value::F64(ncs)),
-                ("batch_campaigns_per_sec".into(), Value::F64(bcs)),
-                ("speedup".into(), Value::F64(speedup)),
-                ("heads".into(), Value::U64(batch.heads as u64)),
-                ("checksum".into(), Value::Str(bs.checksum)),
-            ]),
-        ));
     }
 
     // Merge by key into the wall-clock history.

@@ -4,9 +4,9 @@
 //! redistributes the 3 idle processors (3×8 + 4×7 + 1 post) for a gain
 //! the paper reports as 4.5 % — "58 hours less on the makespan".
 //!
-//! Run: `cargo run --release -p oa-bench --bin example53 [--jobs N]`
+//! Run: `cargo run --release -p oa-bench --bin example53`
 
-use oa_bench::{pool, trace_path, write_json, write_trace, SweepRecorder};
+use oa_bench::{trace_path, write_json, write_trace, SweepRecorder};
 use oa_platform::prelude::*;
 use oa_sched::prelude::*;
 use oa_sim::prelude::*;
@@ -15,11 +15,10 @@ use oa_trace::VecTracer;
 fn main() {
     let table = reference_cluster(53).timing;
     let inst = Instance::new(10, 1800, 53);
-    let pool = pool();
     let mut rec = SweepRecorder::start("example53");
 
     println!("== Section 4.2 example: R = 53, NS = 10, NM = 1800 ==");
-    let breakdown = best_group_with(inst, &table, &pool).expect("53 processors fit groups");
+    let breakdown = best_group(inst, &table).expect("53 processors fit groups");
     println!(
         "basic heuristic: G = {} (nbmax = {}, R2 = {})  [paper: G = 7, 7 groups, 49 procs]",
         breakdown.g, breakdown.nbmax, breakdown.r2
@@ -34,12 +33,10 @@ fn main() {
         gain_pct: f64,
         gain_hours: f64,
     }
-    let base_ms = Heuristic::Basic
-        .makespan_with(inst, &table, &pool)
-        .expect("feasible");
+    let base_ms = Heuristic::Basic.makespan(inst, &table).expect("feasible");
     let mut rows = Vec::new();
     let groupings = rec.phase("heuristics", Heuristic::PAPER.len(), || {
-        Heuristic::PAPER.map(|h| h.grouping_with(inst, &table, &pool).expect("feasible"))
+        Heuristic::PAPER.map(|h| h.grouping(inst, &table).expect("feasible"))
     });
     for (h, grouping) in Heuristic::PAPER.into_iter().zip(groupings) {
         let ms = estimate(inst, &table, &grouping)

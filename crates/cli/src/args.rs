@@ -227,11 +227,11 @@ mod tests {
 
     #[test]
     fn jobs_flag_parses() {
-        let a = parse(&["analyze", "--jobs", "4"]).unwrap();
+        let a = parse(&["serve", "--jobs", "4"]).unwrap();
         assert_eq!(a.jobs_opt().unwrap(), Some(4));
-        let a = parse(&["analyze"]).unwrap();
+        let a = parse(&["serve"]).unwrap();
         assert_eq!(a.jobs_opt().unwrap(), None);
-        let a = parse(&["analyze", "--jobs", "lots"]).unwrap();
+        let a = parse(&["serve", "--jobs", "lots"]).unwrap();
         assert!(matches!(a.jobs_opt(), Err(ArgError::BadValue { .. })));
     }
 

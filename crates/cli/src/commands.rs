@@ -82,13 +82,13 @@ COMMANDS
   sim       run one campaign through the generic engine, with every knob
             --ns N --nm N --r N --cluster NAME --heuristic H
             [--policy P] [--unfused] [--recovery checkpoint|restart]
-            [--kill G@T,G@T,...] [--jobs N] [--json]
+            [--kill G@T,G@T,...] [--json]
             [--workflow preset|FILE.json] [--dot]
             --workflow lifts the campaign into the typed workflow IR:
             preset meshes run the legacy engine byte-identically, any
             other DAG runs the generic IR engine; --dot prints the IR
             as Graphviz instead of simulating
-            [--batch SPEC.json] [--naive]
+            [--batch SPEC.json] [--naive] [--jobs N]
             --batch runs a mass-batch variant sweep (parameter grid ×
             Monte Carlo fault plans) with cross-variant sharing;
             --naive disables the sharing (baseline); every field of
@@ -98,7 +98,6 @@ COMMANDS
             platform rules (OA001..OA018); exits nonzero on errors
             --ns N --nm N --r N --cluster NAME --heuristic H [--json]
             [--file SCHEDULE.json] [--bandwidth MB/s --latency S] [--rules]
-            [--jobs N]
   audit     static analysis beyond one campaign: source determinism
             audit (ND001..ND007) and the campaign certifier (CT001..CT002)
             audit [scan]    [--root DIR] [--allow FILE] [--json] [--rules]
@@ -120,7 +119,6 @@ COMMANDS
   trace     record and export campaign event traces
             trace record    --ns N --nm N --r N --cluster NAME
                             --heuristic H [--policy P] [--out TRACE.jsonl]
-                            [--jobs N]
             trace export    [--file TRACE.jsonl | campaign flags]
                             [--format chrome|gantt|jsonl] [--width N]
             trace summarize [--file TRACE.jsonl | campaign flags]
@@ -141,9 +139,11 @@ HEURISTICS: basic, redistribute (Improvement 1), nopost (Improvement 2),
 POLICIES:   least-advanced (paper default), round-robin, most-advanced
 CLUSTERS:   reference (default), sagittaire, capricorne, chinqchint,
             grillon, grelon
-JOBS:       --jobs N sizes the deterministic worker pool (default: the
-            OA_JOBS environment variable, then available parallelism);
-            any N produces bit-identical output
+JOBS:       --jobs N sizes the deterministic worker pool of `sim --batch`
+            (variants) and `serve` (cold ClusterJoin pricing); default:
+            the OA_JOBS environment variable, then available
+            parallelism; any N produces bit-identical output. Planning
+            one campaign is serial.
 "
     .to_string()
 }
@@ -199,12 +199,17 @@ fn fault_plan_of(args: &Args) -> Result<FaultPlan, CliError> {
     Ok(plan)
 }
 
-/// Resolves the worker pool for commands that accept `--jobs N`:
-/// explicit flag, then the `OA_JOBS` environment variable, then the
-/// machine's available parallelism. Parallel runs produce bit-identical
-/// output to `--jobs 1`.
-fn pool_of(args: &Args) -> Result<oa_par::Pool, CliError> {
-    Ok(oa_par::Pool::new(oa_par::resolve_jobs(args.jobs_opt()?)))
+/// Reads the campaign shape `--ns N --nm N` (defaults `ns`, `nm`) and
+/// rejects an empty one: every campaign has at least one scenario of
+/// at least one month.
+fn shape_of(args: &Args, ns: u32, nm: u32) -> Result<(u32, u32), CliError> {
+    let (ns, nm) = (args.u32_or("ns", ns)?, args.u32_or("nm", nm)?);
+    if ns == 0 || nm == 0 {
+        return Err(CliError::Domain(format!(
+            "empty campaign shape: ns={ns}, nm={nm}; both must be at least 1"
+        )));
+    }
+    Ok((ns, nm))
 }
 
 fn cluster_of(name: &str, resources: u32) -> Result<Cluster, CliError> {
@@ -226,8 +231,7 @@ fn cluster_of(name: &str, resources: u32) -> Result<Cluster, CliError> {
 
 fn plan(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "r", "cluster", "heuristic", "all", "json"])?;
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 1800)?;
+    let (ns, nm) = shape_of(args, 10, 1800)?;
     let r = args.u32_or("r", 53)?;
     let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
     let inst = Instance::new(ns, nm, r);
@@ -277,13 +281,7 @@ fn plan(args: &Args) -> Result<String, CliError> {
 /// workflow spec in the `oa_workflow::ir::from_value` format.
 fn workflow_of(args: &Args, spec: &str) -> Result<oa_workflow::ir::WorkflowIr, CliError> {
     if spec == "preset" {
-        let ns = args.u32_or("ns", 10)?;
-        let nm = args.u32_or("nm", 120)?;
-        if ns == 0 || nm == 0 {
-            return Err(CliError::Domain(format!(
-                "empty workflow shape: ns={ns}, nm={nm}"
-            )));
-        }
+        let (ns, nm) = shape_of(args, 10, 120)?;
         let shape = oa_workflow::chain::ExperimentShape::new(ns, nm);
         return Ok(if args.switch("unfused") {
             oa_workflow::ir::lower_experiment(shape)
@@ -341,7 +339,9 @@ fn sim_batch(args: &Args, path: &str) -> Result<String, CliError> {
     let value: serde_json::Value = serde_json::from_str(&text)
         .map_err(|e| CliError::Domain(format!("{path} is not JSON: {e}")))?;
     let spec = BatchSpec::from_json(&value).map_err(|e| CliError::Domain(e.to_string()))?;
-    let pool = pool_of(args)?;
+    // Variants fan out on `--jobs N` workers (then `OA_JOBS`, then the
+    // available parallelism); any count gives bit-identical output.
+    let pool = oa_par::Pool::new(oa_par::resolve_jobs(args.jobs_opt()?));
     let naive = args.switch("naive");
     let report = if naive {
         run_naive(&spec, &pool)
@@ -429,12 +429,10 @@ fn sim_cmd(args: &Args) -> Result<String, CliError> {
     if let Some(path) = args.str_opt("batch") {
         return sim_batch(args, path);
     }
-    let mut ns = args.u32_or("ns", 10)?;
-    let mut nm = args.u32_or("nm", 120)?;
+    let (mut ns, mut nm) = shape_of(args, 10, 120)?;
     let r = args.u32_or("r", 53)?;
     let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
-    let pool = pool_of(args)?;
     let mut granularity = if args.switch("unfused") {
         Granularity::Unfused
     } else {
@@ -479,7 +477,7 @@ fn sim_cmd(args: &Args) -> Result<String, CliError> {
     };
     let inst = Instance::new(ns, nm, r);
     let grouping = h
-        .grouping_with(inst, &cluster.timing, &pool)
+        .grouping(inst, &cluster.timing)
         .map_err(|e| CliError::Domain(e.to_string()))?;
 
     // Pre-flight the configuration (OA018) so a malformed fault plan
@@ -557,7 +555,6 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
         "file",
         "bandwidth",
         "latency",
-        "jobs",
     ])?;
     if args.switch("rules") {
         return Ok(oa_analyze::render_catalog());
@@ -583,12 +580,10 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
         report.extend(schedule.analyze().diagnostics);
     } else {
         // Analyze a planned campaign end to end, one layer at a time.
-        let ns = args.u32_or("ns", 10)?;
-        let nm = args.u32_or("nm", 1800)?;
+        let (ns, nm) = shape_of(args, 10, 1800)?;
         let r = args.u32_or("r", 53)?;
         let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
         let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
-        let pool = pool_of(args)?;
         let inst = Instance::new(ns, nm, r);
         scope = format!(
             "campaign on {}: NS = {ns}, NM = {nm}, R = {r}, heuristic {}\n",
@@ -601,7 +596,7 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
         report.extend(oa_analyze::platform::check_cluster(&cluster));
 
         let grouping = h
-            .grouping_with(inst, &cluster.timing, &pool)
+            .grouping(inst, &cluster.timing)
             .map_err(|e| CliError::Domain(e.to_string()))?;
         report.extend(oa_analyze::scheduling::check_grouping(
             inst,
@@ -782,8 +777,7 @@ fn audit_certify(args: &Args) -> Result<String, CliError> {
         "json",
         "matrix",
     ])?;
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 120)?;
+    let (ns, nm) = shape_of(args, 10, 120)?;
     let r = args.u32_or("r", 53)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let inst = Instance::new(ns, nm, r);
@@ -860,8 +854,7 @@ fn audit_certify(args: &Args) -> Result<String, CliError> {
 
 fn gantt(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "r", "cluster", "heuristic", "width", "per-proc"])?;
-    let ns = args.u32_or("ns", 4)?;
-    let nm = args.u32_or("nm", 12)?;
+    let (ns, nm) = shape_of(args, 4, 12)?;
     let r = args.u32_or("r", 26)?;
     let width = args.u32_or("width", 76)? as usize;
     let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
@@ -912,8 +905,7 @@ fn preset_grid(clusters: u32, resources: u32) -> Result<Grid, CliError> {
 
 fn grid_cmd(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "clusters", "resources", "heuristic", "staging"])?;
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 1800)?;
+    let (ns, nm) = shape_of(args, 10, 1800)?;
     let clusters = args.u32_or("clusters", 5)?;
     let resources = args.u32_or("resources", 30)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
@@ -957,8 +949,7 @@ fn grid_cmd(args: &Args) -> Result<String, CliError> {
 
 fn campaign(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "clusters", "resources", "heuristic"])?;
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 120)?;
+    let (ns, nm) = shape_of(args, 10, 120)?;
     let clusters = args.u32_or("clusters", 5)?;
     let resources = args.u32_or("resources", 30)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
@@ -996,8 +987,7 @@ fn import(args: &Args) -> Result<String, CliError> {
     if path.is_empty() {
         return Err(CliError::Domain("--file is required".into()));
     }
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 120)?;
+    let (ns, nm) = shape_of(args, 10, 120)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let text = std::fs::read_to_string(&path)
         .map_err(|e| CliError::Domain(format!("cannot read {path:?}: {e}")))?;
@@ -1024,8 +1014,7 @@ fn import(args: &Args) -> Result<String, CliError> {
 
 fn profile_cmd(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "r", "cluster", "heuristic"])?;
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 24)?;
+    let (ns, nm) = shape_of(args, 10, 24)?;
     let r = args.u32_or("r", 53)?;
     let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
@@ -1066,20 +1055,18 @@ fn profile_cmd(args: &Args) -> Result<String, CliError> {
 }
 
 /// Campaign flags shared by every `oa trace` verb.
-const TRACE_CAMPAIGN_FLAGS: &[&str] = &["ns", "nm", "r", "cluster", "heuristic", "policy", "jobs"];
+const TRACE_CAMPAIGN_FLAGS: &[&str] = &["ns", "nm", "r", "cluster", "heuristic", "policy"];
 
 /// Runs the campaign described by the flags with a buffering tracer
 /// and returns a scope line plus the recorded event stream.
 fn trace_campaign(args: &Args) -> Result<(String, Vec<TraceEvent>), CliError> {
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 120)?;
+    let (ns, nm) = shape_of(args, 10, 120)?;
     let r = args.u32_or("r", 53)?;
     let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
-    let pool = pool_of(args)?;
     let inst = Instance::new(ns, nm, r);
     let grouping = h
-        .grouping_with(inst, &cluster.timing, &pool)
+        .grouping(inst, &cluster.timing)
         .map_err(|e| CliError::Domain(e.to_string()))?;
     let mut sink = VecTracer::new();
     execute_traced(
@@ -1185,8 +1172,7 @@ fn trace_summarize(args: &Args) -> Result<String, CliError> {
 
 fn dot_cmd(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "fused"])?;
-    let ns = args.u32_or("ns", 2)?;
-    let nm = args.u32_or("nm", 2)?;
+    let (ns, nm) = shape_of(args, 2, 2)?;
     let shape = oa_workflow::chain::ExperimentShape::new(ns, nm);
     Ok(if args.switch("fused") {
         oa_workflow::dot::fused_dot(&oa_workflow::fusion::build_fused(shape))
@@ -1998,5 +1984,22 @@ mod tests {
             oa(&["plan", "--r", "3", "--nm", "2"]),
             Err(CliError::Domain(_))
         ));
+        // An empty campaign shape is an invocation error, not a panic.
+        for cmd in [
+            &["plan"][..],
+            &["sim"],
+            &["analyze"],
+            &["gantt"],
+            &["profile"],
+            &["trace", "record"],
+            &["audit", "certify"],
+            &["grid"],
+            &["dot"],
+        ] {
+            for flag in ["--ns", "--nm"] {
+                let argv = [cmd, &[flag, "0"]].concat();
+                assert!(matches!(oa(&argv), Err(CliError::Domain(_))), "{argv:?}");
+            }
+        }
     }
 }

@@ -130,28 +130,6 @@ pub fn best_group(inst: Instance, table: &TimingTable) -> Option<Breakdown> {
         .min_by(|a, b| a.makespan.total_cmp(&b.makespan))
 }
 
-/// [`best_group`] with the `G ∈ {4..11}` evaluations fanned out on
-/// `pool`. The reduction runs on the caller's side in candidate order
-/// (same `min_by`, same tie-breaking toward smaller `G`), so the
-/// result is identical to the serial path for any job count; a
-/// single-job pool short-circuits to [`best_group`] itself.
-pub fn best_group_with(
-    inst: Instance,
-    table: &TimingTable,
-    pool: &oa_par::Pool,
-) -> Option<Breakdown> {
-    if pool.jobs() == 1 {
-        return best_group(inst, table);
-    }
-    let gs: Vec<u32> = oa_workflow::moldable::MoldableSpec::pcr()
-        .allocations()
-        .collect();
-    pool.par_map(&gs, |&g| makespan(inst, table, g))
-        .into_iter()
-        .flatten()
-        .min_by(|a, b| a.makespan.total_cmp(&b.makespan))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,6 +11,7 @@ use oa_knapsack::{solve_dp, Item, Problem};
 
 use super::estimate::{estimate_generic, GenericEstimate, Groups};
 use super::workload::Workload;
+use crate::heuristics::{knapsack_groups, knapsack_items};
 
 /// Errors from generic heuristic construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,24 +70,20 @@ pub fn basic_generic(w: &Workload, r: u32) -> Result<Groups, GenericError> {
 /// The generic knapsack heuristic (the paper's Improvement 3 for any
 /// chain-of-moldable-DAGs workload).
 pub fn knapsack_generic(w: &Workload, r: u32) -> Result<Groups, GenericError> {
-    let range = w.alloc_range();
-    let items: Vec<Item> = range
-        .allocations()
-        .map(|g| Item::new(g, 1.0 / w.unit_secs(g), w.chains))
-        .collect();
-    let sol = solve_dp(&Problem::new(items, r, w.chains));
-    let mut sizes = Vec::with_capacity(sol.copies as usize);
-    for (i, &n) in sol.counts.iter().enumerate() {
-        let g = range.allocation_at(i).expect("items follow the range");
-        sizes.extend(std::iter::repeat_n(g, n as usize));
-    }
-    if sizes.is_empty() {
-        return Err(GenericError::MachineTooSmall {
+    let problem = Problem::new(workload_items(w), r, w.chains);
+    let sol = solve_dp(&problem);
+    knapsack_groups(&problem.items, &sol, r)
+        .map(|(sizes, pool)| Groups::new(sizes, pool))
+        .ok_or(GenericError::MachineTooSmall {
             resources: r,
-            min_alloc: range.min_procs,
-        });
-    }
-    Ok(Groups::new(sizes, r - sol.cost))
+            min_alloc: w.alloc_range().min_procs,
+        })
+}
+
+/// The knapsack items of `w`: its allocation range priced by
+/// `unit_secs`, at most one copy per chain.
+fn workload_items(w: &Workload) -> Vec<Item> {
+    knapsack_items(w.alloc_range().allocations(), |g| w.unit_secs(g), w.chains)
 }
 
 /// The balanced generic heuristic — our refinement of the knapsack
@@ -104,10 +101,7 @@ pub fn knapsack_generic(w: &Workload, r: u32) -> Result<Groups, GenericError> {
 /// estimator and keep the winner.
 pub fn balanced_generic(w: &Workload, r: u32) -> Result<(Groups, GenericEstimate), GenericError> {
     let range = w.alloc_range();
-    let items: Vec<Item> = range
-        .allocations()
-        .map(|g| Item::new(g, 1.0 / w.unit_secs(g), w.chains))
-        .collect();
+    let items = workload_items(w);
 
     let mut best: Option<(GenericEstimate, Groups)> = None;
     let consider = |cand: Groups, best: &mut Option<(GenericEstimate, Groups)>| {
@@ -123,13 +117,8 @@ pub fn balanced_generic(w: &Workload, r: u32) -> Result<(Groups, GenericEstimate
     // Per-count knapsack candidates.
     for k in 1..=w.chains {
         let sol = solve_dp(&Problem::new(items.clone(), r, k));
-        let mut sizes = Vec::with_capacity(sol.copies as usize);
-        for (i, &n) in sol.counts.iter().enumerate() {
-            let g = range.allocation_at(i).expect("items follow the range");
-            sizes.extend(std::iter::repeat_n(g, n as usize));
-        }
-        if !sizes.is_empty() {
-            consider(Groups::new(sizes, r - sol.cost), &mut best);
+        if let Some((sizes, pool)) = knapsack_groups(&items, &sol, r) {
+            consider(Groups::new(sizes, pool), &mut best);
         }
     }
     // Uniform candidates (the basic sweep).

@@ -11,7 +11,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use oa_par::Pool;
 use oa_platform::cluster::ClusterId;
 use oa_platform::grid::Grid;
 
@@ -69,51 +68,6 @@ pub fn performance_vector(
     PerformanceVector { cluster, makespans }
 }
 
-/// [`performance_vector`] with the `ns` independent heuristic
-/// evaluations fanned out on `pool`. Each entry is a pure function of
-/// its scenario count and results are stitched back in count order, so
-/// the vector is bit-identical to the serial path — this is the
-/// single-cluster entry point an online scheduler uses when a cluster
-/// joins an already-running grid.
-pub fn performance_vector_with(
-    cluster: ClusterId,
-    resources: u32,
-    table: &oa_platform::timing::TimingTable,
-    heuristic: Heuristic,
-    ns: u32,
-    nm: u32,
-    pool: &Pool,
-) -> PerformanceVector {
-    let counts: Vec<u32> = (1..=ns).collect();
-    let makespans = pool.par_map(&counts, |&k| {
-        let inst = Instance::new(k, nm, resources);
-        heuristic.makespan(inst, table).unwrap_or(f64::INFINITY)
-    });
-    PerformanceVector { cluster, makespans }
-}
-
-/// Extends a performance vector in place to cover `1..=upto` scenarios,
-/// evaluating the heuristic only for the counts not yet covered. The
-/// existing prefix is untouched (each entry is a pure function of its
-/// `(cluster, k)` pair), so growing a vector never perturbs decisions
-/// already taken from it — the incremental counterpart of recomputing
-/// [`performance_vector`] from scratch at the larger `NS`.
-pub fn extend_performance_vector(
-    vector: &mut PerformanceVector,
-    resources: u32,
-    table: &oa_platform::timing::TimingTable,
-    heuristic: Heuristic,
-    upto: u32,
-    nm: u32,
-) {
-    for k in (vector.makespans.len() as u32 + 1)..=upto {
-        let inst = Instance::new(k, nm, resources);
-        vector
-            .makespans
-            .push(heuristic.makespan(inst, table).unwrap_or(f64::INFINITY));
-    }
-}
-
 /// Performance vectors for every cluster of a grid.
 pub fn grid_performance(
     grid: &Grid,
@@ -123,45 +77,6 @@ pub fn grid_performance(
 ) -> Vec<PerformanceVector> {
     grid.iter()
         .map(|(id, c)| performance_vector(id, c.resources, &c.timing, heuristic, ns, nm))
-        .collect()
-}
-
-/// [`grid_performance`] with the whole cluster-assignment search —
-/// the flattened (cluster, scenario-count) grid of `clusters × NS`
-/// independent heuristic evaluations — fanned out on `pool`. Each
-/// point is a pure function of its (cluster, k) pair and the results
-/// are stitched back in (cluster, k) order, so the vectors are
-/// bit-identical to the serial path.
-pub fn grid_performance_with(
-    grid: &Grid,
-    heuristic: Heuristic,
-    ns: u32,
-    nm: u32,
-    pool: &Pool,
-) -> Vec<PerformanceVector> {
-    let clusters: Vec<(ClusterId, u32, &oa_platform::timing::TimingTable)> = grid
-        .iter()
-        .map(|(id, c)| (id, c.resources, &c.timing))
-        .collect();
-    // Flatten (cluster, k): k varies fastest, matching the serial
-    // nesting, and uneven per-cluster costs balance across workers.
-    let pairs: Vec<(usize, u32)> = clusters
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, _)| (1..=ns).map(move |k| (ci, k)))
-        .collect();
-    let makespans = pool.par_map(&pairs, |&(ci, k)| {
-        let (_, resources, table) = clusters[ci];
-        let inst = Instance::new(k, nm, resources);
-        heuristic.makespan(inst, table).unwrap_or(f64::INFINITY)
-    });
-    clusters
-        .iter()
-        .enumerate()
-        .map(|(ci, &(id, _, _))| PerformanceVector {
-            cluster: id,
-            makespans: makespans[ci * ns as usize..(ci + 1) * ns as usize].to_vec(),
-        })
         .collect()
 }
 

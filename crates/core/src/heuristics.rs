@@ -53,8 +53,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use oa_knapsack::{solve_dp, solve_greedy, Item, Problem};
-use oa_par::Pool;
+use oa_knapsack::{solve_dp, solve_greedy, Item, Problem, Solution};
 use oa_platform::timing::TimingTable;
 use oa_workflow::moldable::MoldableSpec;
 use oa_workflow::task::{MAX_PROCS, MIN_PROCS};
@@ -135,23 +134,7 @@ impl Heuristic {
     /// Builds the grouping this heuristic chooses for `inst` on a
     /// cluster with timing `table`.
     pub fn grouping(self, inst: Instance, table: &TimingTable) -> Result<Grouping, HeuristicError> {
-        self.grouping_with(inst, table, &Pool::serial())
-    }
-
-    /// Like [`Heuristic::grouping`], with the `G ∈ {4..11}` analytic
-    /// evaluation and the per-group-count knapsacks of
-    /// [`Heuristic::Balanced`] fanned out on `pool`. Candidate scoring
-    /// by the event estimator stays serial (it runs about one estimate
-    /// per call, see the module doc). Results are stitched back in
-    /// candidate order, so the chosen grouping is bit-identical for any
-    /// job count.
-    pub fn grouping_with(
-        self,
-        inst: Instance,
-        table: &TimingTable,
-        pool: &Pool,
-    ) -> Result<Grouping, HeuristicError> {
-        self.choose(inst, table, pool).map(|(g, _)| g)
+        self.choose(inst, table).map(|(g, _)| g)
     }
 
     /// The chosen grouping, with its estimated makespan when choosing it
@@ -160,35 +143,24 @@ impl Heuristic {
         self,
         inst: Instance,
         table: &TimingTable,
-        pool: &Pool,
     ) -> Result<(Grouping, Option<f64>), HeuristicError> {
         let unscored = |g: Grouping| (g, None);
         let scored = |(g, ms): (Grouping, f64)| (g, Some(ms));
         match self {
-            Heuristic::Basic => basic(inst, table, pool).map(unscored),
-            Heuristic::RedistributeIdle => redistribute_idle(inst, table, pool).map(unscored),
+            Heuristic::Basic => basic(inst, table).map(unscored),
+            Heuristic::RedistributeIdle => redistribute_idle(inst, table).map(unscored),
             Heuristic::NoPostReservation => no_post_reservation(inst, table).map(scored),
             Heuristic::Knapsack => knapsack(inst, table, Solver::Exact).map(unscored),
             Heuristic::KnapsackGreedy => knapsack(inst, table, Solver::Greedy).map(unscored),
-            Heuristic::Balanced => balanced(inst, table, pool).map(scored),
+            Heuristic::Balanced => balanced(inst, table).map(scored),
         }
     }
 
-    /// Convenience: the simulated makespan of this heuristic's grouping.
+    /// The simulated makespan of this heuristic's grouping. The
+    /// estimator-scored heuristics return the makespan they computed
+    /// while choosing; the others estimate their grouping once.
     pub fn makespan(self, inst: Instance, table: &TimingTable) -> Result<f64, HeuristicError> {
-        self.makespan_with(inst, table, &Pool::serial())
-    }
-
-    /// [`Heuristic::makespan`] on top of [`Heuristic::grouping_with`]'s
-    /// search. The estimator-scored heuristics return the makespan they
-    /// computed while choosing; the others estimate their grouping once.
-    pub fn makespan_with(
-        self,
-        inst: Instance,
-        table: &TimingTable,
-        pool: &Pool,
-    ) -> Result<f64, HeuristicError> {
-        let (g, ms) = self.choose(inst, table, pool)?;
+        let (g, ms) = self.choose(inst, table)?;
         Ok(ms.unwrap_or_else(|| {
             estimate(inst, table, &g)
                 .expect("heuristics construct valid groupings")
@@ -204,8 +176,8 @@ pub fn gain_pct(baseline: f64, improved: f64) -> f64 {
     (baseline - improved) / baseline * 100.0
 }
 
-fn basic(inst: Instance, table: &TimingTable, pool: &Pool) -> Result<Grouping, HeuristicError> {
-    let best = analytic::best_group_with(inst, table, pool)
+fn basic(inst: Instance, table: &TimingTable) -> Result<Grouping, HeuristicError> {
+    let best = analytic::best_group(inst, table)
         .ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })?;
     Ok(Grouping::uniform(best.g, best.nbmax, best.r2))
 }
@@ -225,12 +197,8 @@ fn posts_needed(table: &TimingTable, g: u32, nbmax: u32) -> u32 {
     }
 }
 
-fn redistribute_idle(
-    inst: Instance,
-    table: &TimingTable,
-    pool: &Pool,
-) -> Result<Grouping, HeuristicError> {
-    let best = analytic::best_group_with(inst, table, pool)
+fn redistribute_idle(inst: Instance, table: &TimingTable) -> Result<Grouping, HeuristicError> {
+    let best = analytic::best_group(inst, table)
         .ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })?;
     let needed = posts_needed(table, best.g, best.nbmax).min(best.r2);
     // "Redistribute the resources left unoccupied among the groups."
@@ -328,34 +296,17 @@ fn no_post_reservation(
     pick_best(inst, table, cands).ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })
 }
 
-fn balanced(
-    inst: Instance,
-    table: &TimingTable,
-    pool: &Pool,
-) -> Result<(Grouping, f64), HeuristicError> {
-    let spec = MoldableSpec::pcr();
-    let items: Vec<oa_knapsack::Item> = spec
-        .allocations()
-        .map(|g| Item::new(g, 1.0 / table.main_secs(g), inst.ns))
-        .collect();
-    // Per-group-count knapsack candidates — the `NS` exact DP solves
-    // are the expensive half of this heuristic, so they fan out too.
-    let ks: Vec<u32> = (1..=inst.ns).collect();
-    let mut cands: Vec<Grouping> = pool
-        .par_map(&ks, |&k| {
+fn balanced(inst: Instance, table: &TimingTable) -> Result<(Grouping, f64), HeuristicError> {
+    // Per-group-count knapsack candidates, `k ∈ 1..=NS`.
+    let items = pcr_items(table, inst.ns);
+    let mut cands: Vec<Grouping> = (1..=inst.ns)
+        .filter_map(|k| {
             let sol = solve_dp(&Problem::new(items.clone(), inst.r, k));
-            let mut groups = Vec::with_capacity(sol.copies as usize);
-            for (i, &n) in sol.counts.iter().enumerate() {
-                let g = spec.allocation_at(i).expect("items follow the spec");
-                groups.extend(std::iter::repeat_n(g, n as usize));
-            }
-            (!groups.is_empty()).then(|| Grouping::new(groups, inst.r - sol.cost))
+            knapsack_groups(&items, &sol, inst.r).map(|(groups, post)| Grouping::new(groups, post))
         })
-        .into_iter()
-        .flatten()
         .collect();
     // Uniform candidates of the basic sweep.
-    for g in spec.allocations() {
+    for g in MoldableSpec::pcr().allocations() {
         let nbmax = inst.nbmax(g);
         if nbmax > 0 {
             cands.push(Grouping::uniform(g, nbmax, inst.r - nbmax * g));
@@ -375,27 +326,49 @@ fn knapsack(
     table: &TimingTable,
     solver: Solver,
 ) -> Result<Grouping, HeuristicError> {
-    let spec = MoldableSpec::pcr();
-    let items: Vec<Item> = spec
-        .allocations()
-        .map(|g| Item::new(g, 1.0 / table.main_secs(g), inst.ns))
-        .collect();
-    let problem = Problem::new(items, inst.r, inst.ns);
+    let problem = Problem::new(pcr_items(table, inst.ns), inst.r, inst.ns);
     let sol = match solver {
         Solver::Exact => solve_dp(&problem),
         Solver::Greedy => solve_greedy(&problem),
     };
-    let mut groups = Vec::with_capacity(sol.copies as usize);
-    for (i, &n) in sol.counts.iter().enumerate() {
-        let g = spec.allocation_at(i).expect("items follow the spec");
-        groups.extend(std::iter::repeat_n(g, n as usize));
-    }
-    if groups.is_empty() {
-        return Err(HeuristicError::ClusterTooSmall { resources: inst.r });
-    }
     // Whatever the knapsack leaves unused serves post-processing.
-    let post = inst.r - sol.cost;
-    Ok(Grouping::new(groups, post))
+    knapsack_groups(&problem.items, &sol, inst.r)
+        .map(|(groups, post)| Grouping::new(groups, post))
+        .ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })
+}
+
+/// The paper's knapsack items (Improvement 3) over the allocations
+/// `allocs`: item `g` costs `g` processors, is worth `1 / secs(g)` of
+/// throughput and may be taken at most `copies` times.
+pub(crate) fn knapsack_items(
+    allocs: impl Iterator<Item = u32>,
+    secs: impl Fn(u32) -> f64,
+    copies: u32,
+) -> Vec<Item> {
+    allocs
+        .map(|g| Item::new(g, 1.0 / secs(g), copies))
+        .collect()
+}
+
+/// The groups a knapsack solution selects on `r` processors (each
+/// item's cost, repeated by its count, in item order) and the
+/// processors it leaves unused; `None` when it selects no group.
+pub(crate) fn knapsack_groups(items: &[Item], sol: &Solution, r: u32) -> Option<(Vec<u32>, u32)> {
+    let groups: Vec<u32> = items
+        .iter()
+        .zip(&sol.counts)
+        .flat_map(|(item, &n)| std::iter::repeat_n(item.cost, n as usize))
+        .collect();
+    (!groups.is_empty()).then(|| (groups, r - sol.cost))
+}
+
+/// [`knapsack_items`] over the pcr allocations `4..=11` of `table`.
+pub(crate) fn pcr_items(table: &TimingTable, copies: u32) -> Vec<Item> {
+    knapsack_items(
+        MoldableSpec::pcr().allocations(),
+        |g| table.main_secs(g),
+        copies,
+    )
 }
 
 #[cfg(test)]

@@ -69,14 +69,13 @@ pub mod time;
 
 /// One-stop imports for downstream crates.
 pub mod prelude {
-    pub use crate::analytic::{best_group, best_group_with, Breakdown};
+    pub use crate::analytic::{best_group, Breakdown};
     pub use crate::estimate::{estimate, Estimate};
     pub use crate::generic;
     pub use crate::grouping::{Grouping, GroupingError};
     pub use crate::hetero::{
-        extend_performance_vector, grid_performance, grid_performance_with, performance_vector,
-        performance_vector_with, repartition, repartition_exact, repartition_n, PerformanceVector,
-        Repartition,
+        grid_performance, performance_vector, repartition, repartition_exact, repartition_n,
+        PerformanceVector, Repartition,
     };
     pub use crate::heuristics::{gain_pct, Heuristic, HeuristicError};
     pub use crate::incremental::{Departure, IncrementalRepartition, Rebalance};
@@ -123,8 +122,12 @@ mod proptests {
         (1u32..=12, 1u32..=40, 4u32..=140).prop_map(|(ns, nm, r)| Instance::new(ns, nm, r))
     }
 
+    /// Proptest cases: 64 in debug builds, 256 in release (the CI
+    /// equivalence job).
+    const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 256 };
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
 
         #[test]
         fn heuristic_groupings_always_validate((inst, table) in (arb_instance(), arb_table())) {
@@ -194,8 +197,8 @@ mod proptests {
                 );
                 for h in [Heuristic::Knapsack, Heuristic::Basic] {
                     let id = oa_platform::cluster::ClusterId(1);
-                    let want = crate::hetero::performance_vector_with(
-                        id, inst.r, &table, h, inst.ns, inst.nm, &pool);
+                    let want = crate::hetero::performance_vector(
+                        id, inst.r, &table, h, inst.ns, inst.nm);
                     let got = memo.performance_vector(
                         id, inst.r, &table, h, inst.ns, inst.nm, &pool);
                     let wb: Vec<u64> = want.makespans.iter().map(|m| m.to_bits()).collect();

@@ -21,12 +21,12 @@
 //!
 //! Determinism: both maps are `BTreeMap`s, population order never
 //! affects values (pure keys), and [`PlanMemo::performance_vector`]
-//! stitches results back in scenario-count order exactly like
-//! [`crate::hetero::performance_vector_with`].
+//! stitches results back in scenario-count order, so its vectors equal
+//! [`crate::hetero::performance_vector`]'s bitwise at any job count.
 
 use std::collections::BTreeMap;
 
-use oa_knapsack::{DpTable, Item};
+use oa_knapsack::DpTable;
 use oa_par::Pool;
 use oa_platform::cluster::ClusterId;
 use oa_platform::timing::TimingTable;
@@ -35,7 +35,7 @@ use oa_workflow::moldable::MoldableSpec;
 use crate::estimate::estimate;
 use crate::grouping::Grouping;
 use crate::hetero::PerformanceVector;
-use crate::heuristics::{Heuristic, HeuristicError};
+use crate::heuristics::{knapsack_groups, pcr_items, Heuristic, HeuristicError};
 use crate::params::Instance;
 
 /// FNV-1a offset basis.
@@ -131,13 +131,8 @@ impl PlanMemo {
         };
         if needs_build {
             let cap = resources.max(self.dp.get(&fp).map_or(0, DpTable::capacity));
-            let spec = MoldableSpec::pcr();
-            let min_cost = spec.allocations().min().expect("spec is non-empty");
-            let card = cap / min_cost;
-            let items: Vec<Item> = spec
-                .allocations()
-                .map(|g| Item::new(g, 1.0 / table.main_secs(g), card.max(1)))
-                .collect();
+            let card = cap / MoldableSpec::pcr().min_procs;
+            let items = pcr_items(table, card.max(1));
             self.dp.insert(fp, DpTable::build(items, cap, card));
             self.stats.dp_builds += 1;
         }
@@ -157,34 +152,12 @@ impl PlanMemo {
         knapsack_grouping_from(dp, inst)
     }
 
-    /// The heuristic's makespan for `inst` (`+∞` when the cluster is
-    /// priced out), through the cache. Hits replay the stored bits;
-    /// misses compute exactly what
-    /// [`Heuristic::makespan`] would and remember it.
-    pub fn makespan(&mut self, heuristic: Heuristic, inst: Instance, table: &TimingTable) -> f64 {
-        let fp = table_fingerprint(table);
-        let key = (fp, heuristic_tag(heuristic), inst.r, inst.ns, inst.nm);
-        if let Some(&bits) = self.makespans.get(&key) {
-            self.stats.hits += 1;
-            return f64::from_bits(bits);
-        }
-        self.stats.misses += 1;
-        let ms = if heuristic == Heuristic::Knapsack {
-            self.ensure_dp(fp, table, inst.r);
-            let dp = self.dp.get(&fp).expect("ensured above");
-            knapsack_makespan_from(dp, inst, table)
-        } else {
-            heuristic.makespan(inst, table).unwrap_or(f64::INFINITY)
-        };
-        self.makespans.insert(key, ms.to_bits());
-        ms
-    }
-
     /// The cluster's performance vector through the memo: cached
     /// scenario counts replay their bits, the missing counts fan out on
     /// `pool` and are stitched back in count order. Bitwise-identical
-    /// to [`crate::hetero::performance_vector_with`] for any query
-    /// history and any job count.
+    /// to [`crate::hetero::performance_vector`] for any query history
+    /// and any job count. This is the one place planning work fans out
+    /// on a pool: a cold `ClusterJoin` prices `ns` independent counts.
     #[allow(clippy::too_many_arguments)]
     pub fn performance_vector(
         &mut self,
@@ -210,10 +183,16 @@ impl PlanMemo {
             let dp = (heuristic == Heuristic::Knapsack).then(|| &self.dp[&fp]);
             let computed = pool.par_map(&misses, |&k| {
                 let inst = Instance::new(k, nm, resources);
-                match dp {
-                    Some(dp) => knapsack_makespan_from(dp, inst, table),
-                    None => heuristic.makespan(inst, table).unwrap_or(f64::INFINITY),
-                }
+                let priced = match dp {
+                    Some(dp) => knapsack_grouping_from(dp, inst).map(|g| {
+                        estimate(inst, table, &g)
+                            .expect("heuristics construct valid groupings")
+                            .makespan
+                    }),
+                    None => heuristic.makespan(inst, table),
+                };
+                // Too-small clusters price themselves out of Algorithm 1.
+                priced.unwrap_or(f64::INFINITY)
             });
             for (&k, &ms) in misses.iter().zip(&computed) {
                 self.makespans
@@ -227,41 +206,20 @@ impl PlanMemo {
     }
 }
 
-/// Grouping reconstruction from a retained DP table — the memoized
-/// mirror of the private `knapsack` heuristic in
-/// [`crate::heuristics`], kept in lockstep with it.
+/// The knapsack heuristic's grouping answered from a retained DP
+/// table: the same items and reconstruction as
+/// [`Heuristic::Knapsack`], so the same grouping bitwise.
 fn knapsack_grouping_from(dp: &DpTable, inst: Instance) -> Result<Grouping, HeuristicError> {
-    let spec = MoldableSpec::pcr();
     let sol = dp.solve_clamped(inst.r, inst.ns);
-    let mut groups = Vec::with_capacity(sol.copies as usize);
-    for (i, &n) in sol.counts.iter().enumerate() {
-        let g = spec.allocation_at(i).expect("items follow the spec");
-        groups.extend(std::iter::repeat_n(g, n as usize));
-    }
-    if groups.is_empty() {
-        return Err(HeuristicError::ClusterTooSmall { resources: inst.r });
-    }
-    let post = inst.r - sol.cost;
-    Ok(Grouping::new(groups, post))
-}
-
-/// `Heuristic::Knapsack.makespan` via the retained table (`+∞` when
-/// the cluster is priced out).
-fn knapsack_makespan_from(dp: &DpTable, inst: Instance, table: &TimingTable) -> f64 {
-    match knapsack_grouping_from(dp, inst) {
-        Ok(g) => {
-            estimate(inst, table, &g)
-                .expect("heuristics construct valid groupings")
-                .makespan
-        }
-        Err(_) => f64::INFINITY,
-    }
+    knapsack_groups(dp.items(), &sol, inst.r)
+        .map(|(groups, post)| Grouping::new(groups, post))
+        .ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hetero::performance_vector_with;
+    use crate::hetero::performance_vector;
     use oa_platform::speedup::PcrModel;
 
     fn table() -> TimingTable {
@@ -299,7 +257,7 @@ mod tests {
         let mut memo = PlanMemo::new();
         for h in [Heuristic::Knapsack, Heuristic::Basic, Heuristic::Balanced] {
             for r in [16u32, 53, 128] {
-                let want = performance_vector_with(ClusterId(7), r, &t, h, 24, 60, &pool);
+                let want = performance_vector(ClusterId(7), r, &t, h, 24, 60);
                 let got = memo.performance_vector(ClusterId(7), r, &t, h, 24, 60, &pool);
                 assert_eq!(got.cluster, want.cluster);
                 let wb: Vec<u64> = want.makespans.iter().map(|m| m.to_bits()).collect();
@@ -327,8 +285,7 @@ mod tests {
         // ±1-delta capacity reuse: R = 52 and 54; 54 forces a rebuild,
         // 52 rides the table — both still match the plain path bitwise.
         for r in [52u32, 54, 53] {
-            let want =
-                performance_vector_with(ClusterId(1), r, &t, Heuristic::Knapsack, 10, 60, &pool);
+            let want = performance_vector(ClusterId(1), r, &t, Heuristic::Knapsack, 10, 60);
             let got =
                 memo.performance_vector(ClusterId(1), r, &t, Heuristic::Knapsack, 10, 60, &pool);
             assert_eq!(got, want, "r={r}");
@@ -345,6 +302,15 @@ mod tests {
             memo.knapsack_grouping(inst, &t),
             Err(HeuristicError::ClusterTooSmall { resources: 3 })
         );
-        assert_eq!(memo.makespan(Heuristic::Knapsack, inst, &t), f64::INFINITY);
+        let priced = memo.performance_vector(
+            ClusterId(0),
+            3,
+            &t,
+            Heuristic::Knapsack,
+            2,
+            12,
+            &Pool::serial(),
+        );
+        assert_eq!(priced.makespans, [f64::INFINITY; 2]);
     }
 }

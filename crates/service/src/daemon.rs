@@ -43,6 +43,12 @@ use oa_workflow::ir::{recognize, IrClass, SpecError};
 use crate::admission::{admit_portion, parse_submission, Refusal, Submission};
 use crate::wire::{codes, parse_request, render_response, ClusterLoad, PortionInfo, Response};
 
+/// Largest `ClusterJoin.resources` the daemon accepts (`OA016` above
+/// it). Pricing a join builds a knapsack table of `kinds × (R + 1) ×
+/// (R/4 + 1)` cells, so one request's cost grows superlinearly with
+/// `R`; the paper's clusters have at most 64 processors.
+pub const MAX_CLUSTER_RESOURCES: u32 = 1024;
+
 /// Tunables fixed at service start.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
@@ -360,6 +366,15 @@ impl Service {
             return Self::error(
                 codes::CLUSTER_INSANE,
                 format!("cluster {name:?} has {resources} processors; the smallest group needs 4"),
+            );
+        }
+        if resources > MAX_CLUSTER_RESOURCES {
+            return Self::error(
+                codes::CLUSTER_INSANE,
+                format!(
+                    "cluster {name:?} has {resources} processors; at most \
+                     {MAX_CLUSTER_RESOURCES} can join"
+                ),
             );
         }
         let known = PRESET_CLUSTERS.iter().any(|(n, ..)| *n == preset);

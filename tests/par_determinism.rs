@@ -6,14 +6,16 @@
 
 use ocean_atmosphere::par::Pool;
 use ocean_atmosphere::prelude::*;
-use ocean_atmosphere::sched::hetero::{grid_performance, grid_performance_with};
+use ocean_atmosphere::sched::hetero::{grid_performance, PerformanceVector};
+use ocean_atmosphere::sched::memo::PlanMemo;
 use proptest::prelude::*;
 
 /// Worker counts under test: the serial short-circuit, a typical small
 /// pool, and an oversubscribed one.
 const JOBS: [usize; 3] = [1, 2, 8];
 
-/// Every heuristic with a pool-parameterized candidate search.
+/// The heuristics whose campaigns fan out across the pool, one
+/// instance per worker.
 const POOLED_HEURISTICS: [Heuristic; 5] = [
     Heuristic::Basic,
     Heuristic::RedistributeIdle,
@@ -66,20 +68,16 @@ proptest! {
     ) {
         let table = reference_cluster(r).timing;
         let inst = Instance::new(ns, nm, r);
-        for h in POOLED_HEURISTICS {
-            // Reference artifacts from the fully serial pool.
-            let serial = h.grouping_with(inst, &table, &Pool::serial());
-            let reference = artifacts(inst, &table, serial.as_ref().ok());
-            for jobs in JOBS {
-                let par = h.grouping_with(inst, &table, &Pool::new(jobs));
-                prop_assert_eq!(
-                    par.is_ok(),
-                    serial.is_ok(),
-                    "{:?} feasibility flips at jobs = {}", h, jobs
-                );
-                let got = artifacts(inst, &table, par.as_ref().ok());
-                prop_assert_eq!(&got, &reference, "{:?} at jobs = {}", h, jobs);
-            }
+        // Planning one instance is serial; parallelism runs across
+        // instances, here one heuristic's campaign per worker.
+        let pipeline = |h: &Heuristic| {
+            let grouping = h.grouping(inst, &table);
+            artifacts(inst, &table, grouping.as_ref().ok())
+        };
+        let reference: Vec<_> = POOLED_HEURISTICS.iter().map(pipeline).collect();
+        for jobs in JOBS {
+            let par = Pool::new(jobs).par_map(&POOLED_HEURISTICS, pipeline);
+            prop_assert_eq!(&par, &reference, "jobs = {}", jobs);
         }
     }
 
@@ -90,16 +88,38 @@ proptest! {
         ns in 1u32..=10,
         nm in 1u32..=24,
     ) {
+        // The memo is where a pool still fans out planning work (the
+        // daemon's cold `ClusterJoin`): a fresh memo per job count
+        // prices every cluster cold and must equal the serial pricer.
         let grid = benchmark_grid(r).take(n);
-        let serial = grid_performance(&grid, Heuristic::Knapsack, ns, nm);
-        let reference = serde_json::to_string(&serial).expect("serializable");
+        let reference = bits(&grid_performance(&grid, Heuristic::Knapsack, ns, nm));
         for jobs in JOBS {
-            let par =
-                grid_performance_with(&grid, Heuristic::Knapsack, ns, nm, &Pool::new(jobs));
-            let got = serde_json::to_string(&par).expect("serializable");
-            prop_assert_eq!(&got, &reference, "jobs = {}", jobs);
+            let pool = Pool::new(jobs);
+            let mut memo = PlanMemo::new();
+            let priced: Vec<PerformanceVector> = grid
+                .iter()
+                .map(|(id, c)| {
+                    memo.performance_vector(
+                        id, c.resources, &c.timing, Heuristic::Knapsack, ns, nm, &pool,
+                    )
+                })
+                .collect();
+            prop_assert_eq!(&bits(&priced), &reference, "jobs = {}", jobs);
         }
     }
+}
+
+/// Each vector's cluster and makespan bit patterns.
+fn bits(vectors: &[PerformanceVector]) -> Vec<(u32, Vec<u64>)> {
+    vectors
+        .iter()
+        .map(|v| {
+            (
+                v.cluster.0,
+                v.makespans.iter().map(|m| m.to_bits()).collect(),
+            )
+        })
+        .collect()
 }
 
 /// The observable artifacts of one campaign: grouping display form,

@@ -175,6 +175,11 @@ fn rejection_table() -> Vec<(&'static str, String, &'static str)> {
             "OA005",
         ),
         (
+            "oversized cluster join",
+            r#"{"ClusterJoin":{"name":"huge","preset":"sagittaire","resources":1025}}"#.into(),
+            "OA016",
+        ),
+        (
             "kill of a nonexistent group",
             submit("x", 2, 12, "knapsack", "99@1000", 0.0),
             "OA018",
